@@ -225,32 +225,116 @@ QTensor Conv2d::forward_int(const QTensor& x, ThreadPool* pool,
   QTensor y = ws_qtensor(ws, Shape{out_ch_, oh, ow}, out_qp_);
   const std::size_t kk = static_cast<std::size_t>(kernel_) * kernel_;
   const std::size_t per_oc = (depthwise_ ? 1 : static_cast<std::size_t>(in_ch_)) * kk;
+  const std::size_t pixels = static_cast<std::size_t>(oh) * ow;
+  const kernel::KernelOps& ops = kernel::active().ops;
   // Pointwise (1x1, stride 1, no pad, dense) convolutions are plane-wise
   // axpy chains: per output channel, accumulate w[oc,ic]·x[ic,·] over the
   // contiguous input planes into an int64 plane seeded with the bias. The
   // per-pixel summation order (bias, then ic ascending) matches the scalar
-  // loop exactly, so the requantized codes are bit-identical. All other
-  // conv shapes keep the scalar loops below.
-  const auto axpy = kernel::active().ops.axpy_i64_i32;
+  // loop exactly, so the requantized codes are bit-identical. The channel
+  // planes are slices of one workspace buffer acquired before the fan-out.
+  const auto axpy = ops.axpy_i64_i32;
   if (axpy != nullptr && kernel_ == 1 && stride_ == 1 && pad_ == 0 &&
       !depthwise_) {
-    const std::size_t plane = static_cast<std::size_t>(h) * w;
+    std::vector<std::int64_t> acc_planes =
+        ws_i64(ws, static_cast<std::size_t>(out_ch_) * pixels);
     pooled_for(pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
-      const int oc = static_cast<int>(ch);
-      std::vector<std::int64_t> acc(
-          plane, static_cast<std::int64_t>(bq_[static_cast<std::size_t>(oc)]));
+      std::int64_t* acc = acc_planes.data() + ch * pixels;
+      std::fill_n(acc, pixels, static_cast<std::int64_t>(bq_[ch]));
       for (int ic = 0; ic < in_ch_; ++ic) {
-        axpy(acc.data(),
-             x.data().data() + static_cast<std::size_t>(ic) * plane,
-             wq_[static_cast<std::size_t>(oc) * in_ch_ + ic], plane);
+        axpy(acc, x.data().data() + static_cast<std::size_t>(ic) * pixels,
+             wq_[ch * in_ch_ + static_cast<std::size_t>(ic)], pixels);
       }
-      std::int32_t* yplane = y.data().data() + static_cast<std::size_t>(oc) * plane;
-      for (std::size_t p = 0; p < plane; ++p) {
+      std::int32_t* yplane = y.data().data() + ch * pixels;
+      for (std::size_t p = 0; p < pixels; ++p) {
         yplane[p] = static_cast<std::int32_t>(rq_.apply(acc[p]));
       }
     }, kMinChannelsPerLane);
+    ws_release(ws, std::move(acc_planes));
     return y;
   }
+  // Every other shape, when the backend has a dot op, runs on a zero-padded
+  // copy of the input: out-of-bounds taps read exact zero codes, which add
+  // nothing to the int64 accumulator, so no tap needs a bounds check. Dense
+  // convs gather im2col rows in (ic, ky, kx) order — wq_'s row layout — and
+  // each pixel becomes one dispatched dot; depthwise convs run a direct
+  // loop over their padded plane. Integer accumulation is order-free here,
+  // so both reproduce the scalar loop below bit for bit.
+  const auto dot = ops.dot_i32_i8;
+  if (dot != nullptr) {
+    const int hp = h + 2 * pad_;
+    const int wp = w + 2 * pad_;
+    const std::size_t padded_plane = static_cast<std::size_t>(hp) * wp;
+    QTensor padded;
+    const std::int32_t* src = x.data().data();
+    if (pad_ > 0) {
+      padded = ws_qtensor(ws, Shape{in_ch_, hp, wp}, in_qp_);
+      for (int ic = 0; ic < in_ch_; ++ic) {
+        std::int32_t* out = padded.data().data() + ic * padded_plane +
+                            static_cast<std::size_t>(pad_) * wp + pad_;
+        for (int iy = 0; iy < h; ++iy, src += w, out += wp) {
+          std::copy_n(src, w, out);
+        }
+      }
+      src = padded.data().data();
+    }
+    const auto window = [&](int ic, int oy, int ox) {
+      return src + static_cast<std::size_t>(ic) * padded_plane +
+             static_cast<std::size_t>(oy) * stride_ * wp +
+             static_cast<std::size_t>(ox) * stride_;
+    };
+    if (depthwise_) {
+      pooled_for(pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
+        const std::int8_t* wk = wq_.data() + ch * kk;
+        std::int32_t* yplane = y.data().data() + ch * pixels;
+        for (int oy = 0; oy < oh; ++oy) {
+          for (int ox = 0; ox < ow; ++ox) {
+            const std::int32_t* win = window(static_cast<int>(ch), oy, ox);
+            std::int64_t acc = bq_[ch];
+            for (int ky = 0; ky < kernel_; ++ky) {
+              for (int kx = 0; kx < kernel_; ++kx) {
+                acc += static_cast<std::int64_t>(
+                           win[static_cast<std::size_t>(ky) * wp + kx]) *
+                       wk[static_cast<std::size_t>(ky) * kernel_ + kx];
+              }
+            }
+            yplane[static_cast<std::size_t>(oy) * ow + ox] =
+                static_cast<std::int32_t>(rq_.apply(acc));
+          }
+        }
+      }, kMinChannelsPerLane);
+    } else {
+      QTensor cols = ws_qtensor(
+          ws, Shape{oh * ow, static_cast<int>(per_oc)}, in_qp_);
+      std::int32_t* col = cols.data().data();
+      for (int oy = 0; oy < oh; ++oy) {
+        for (int ox = 0; ox < ow; ++ox) {
+          for (int ic = 0; ic < in_ch_; ++ic) {
+            const std::int32_t* win = window(ic, oy, ox);
+            for (int ky = 0; ky < kernel_; ++ky) {
+              col = std::copy_n(win + static_cast<std::size_t>(ky) * wp,
+                                kernel_, col);
+            }
+          }
+        }
+      }
+      pooled_for(pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
+        const std::int8_t* wrow = wq_.data() + ch * per_oc;
+        const std::int64_t bias = bq_[ch];
+        const std::int32_t* row = cols.data().data();
+        std::int32_t* yplane = y.data().data() + ch * pixels;
+        for (std::size_t p = 0; p < pixels; ++p, row += per_oc) {
+          yplane[p] =
+              static_cast<std::int32_t>(rq_.apply(bias + dot(row, wrow, per_oc)));
+        }
+      }, kMinChannelsPerLane);
+      ws_release(ws, std::move(cols));
+    }
+    ws_release(ws, std::move(padded));
+    return y;
+  }
+  // Scalar oracle (the `scalar` backend): per-tap bounds checks, no
+  // padding copy.
   pooled_for(pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
     const int oc = static_cast<int>(ch);
     const int ic_lo = depthwise_ ? oc : 0;

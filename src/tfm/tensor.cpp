@@ -10,9 +10,9 @@ namespace gqa::tfm {
 
 std::string Shape::to_string() const {
   std::string out = "{";
-  for (std::size_t i = 0; i < dims.size(); ++i) {
+  for (int i = 0; i < rank(); ++i) {
     if (i != 0) out += ", ";
-    out += format("%d", dims[i]);
+    out += format("%d", (*this)[i]);
   }
   return out + "}";
 }

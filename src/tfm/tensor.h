@@ -5,6 +5,8 @@
 // Shapes are row-major; feature maps use {C, H, W}, token matrices {N, D}.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -16,24 +18,35 @@
 
 namespace gqa::tfm {
 
+/// Dimensions stored inline (no tensor in the substrate exceeds rank 4: conv
+/// weights are {out, in, k, k}), so building a shape never allocates.
 struct Shape {
-  std::vector<int> dims;
+  static constexpr std::size_t kMaxRank = 4;
 
   Shape() = default;
-  Shape(std::initializer_list<int> d) : dims(d) {}
+  Shape(std::initializer_list<int> d) : rank_(d.size()) {
+    GQA_EXPECTS_MSG(d.size() <= kMaxRank, "tensor rank exceeds Shape::kMaxRank");
+    std::copy(d.begin(), d.end(), dims_.begin());
+  }
 
-  [[nodiscard]] int rank() const { return static_cast<int>(dims.size()); }
+  [[nodiscard]] int rank() const { return static_cast<int>(rank_); }
   [[nodiscard]] std::int64_t numel() const {
     std::int64_t n = 1;
-    for (int d : dims) n *= d;
+    for (std::size_t i = 0; i < rank_; ++i) n *= dims_[i];
     return n;
   }
   [[nodiscard]] int operator[](int i) const {
-    return dims[static_cast<std::size_t>(i)];
+    return dims_[static_cast<std::size_t>(i)];
   }
   [[nodiscard]] std::string to_string() const;
 
+  // Unused trailing dims stay zero, so member-wise equality is shape
+  // equality.
   friend bool operator==(const Shape&, const Shape&) = default;
+
+ private:
+  std::array<int, kMaxRank> dims_{};
+  std::size_t rank_ = 0;
 };
 
 class Tensor {

@@ -6,10 +6,12 @@
 // forward pass must be bit-identical to its serial twin.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -501,19 +503,84 @@ TEST(ThreadedForward, LinearBitIdentical) {
       "Linear int");
 }
 
-TEST(ThreadedForward, Conv2dBitIdentical) {
+/// One conv shape of the two models, at a size that exercises the fast
+/// path's edges. `per_oc` = in_ch·k·k is the im2col row length the AVX2
+/// dot runs over in 8-lane steps, so most dense cases end in a scalar tail.
+struct ConvCase {
+  const char* name;
+  int in_ch, out_ch, kernel, stride, pad, h, w;
+  bool depthwise = false;
+};
+
+const std::vector<ConvCase>& conv_cases() {
+  static const std::vector<ConvCase> cases = {
+      // SegFormer stage-1 patch embed; (19+6-7)%4 != 0, per_oc 147 = 18·8+3.
+      {"7x7/s4/p3 in_ch=3", 3, 8, 7, 4, 3, 19, 21},
+      // Later patch embeds and the EfficientViT stem; per_oc 45 = 5·8+5.
+      {"3x3/s2/p1", 5, 6, 3, 2, 1, 9, 10},
+      {"3x3/s1/p1", 4, 6, 3, 1, 1, 9, 9},
+      // per_oc 9: one vector step plus a 1-element tail.
+      {"3x3/s1/p1 in_ch=1", 1, 3, 3, 1, 1, 7, 8},
+      // AttentionSR reductions (k = s, p = 0); (9-2)%2, (14-4)%4, (19-8)%8
+      // leave trailing input the window never reaches.
+      {"2x2/s2/p0 (sr=2)", 5, 5, 2, 2, 0, 8, 9},
+      {"4x4/s4/p0 (sr=4)", 3, 3, 4, 4, 0, 12, 14},
+      {"8x8/s8/p0 (sr=8)", 2, 2, 8, 8, 0, 16, 19},
+      // MixFfn / MbConv depthwise convs.
+      {"depthwise 3x3/s1/p1", 6, 6, 3, 1, 1, 9, 9, true},
+      {"depthwise 3x3/s2/p1", 6, 6, 3, 2, 1, 10, 9, true},
+      // Pointwise convs keep the channel-axpy branch.
+      {"1x1/s1/p0", 5, 7, 1, 1, 0, 9, 9},
+  };
+  return cases;
+}
+
+/// A calibrated and frozen conv with its float and quantized input. With
+/// `saturate`, the output range is calibrated on a 1/16-scaled copy of the
+/// input and the input is quantized at a quarter of its range, so input
+/// codes pin at -128/127 and the requantizer clips output codes.
+struct FrozenConv {
+  tfm::Conv2d conv;
+  tfm::Tensor x;
+  tfm::QTensor qx;
+};
+
+FrozenConv make_frozen_conv(const ConvCase& c, bool saturate) {
   Rng rng = eq_rng();
-  tfm::Conv2d conv(4, 6, 3, 1, 1, rng);
-  tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{4, 9, 9}, rng, 1.0);
-  (void)conv.calibrate(x);
-  const QuantParams in_qp{x.amax() / 127.0, 8, true};
-  (void)conv.freeze(in_qp, tfm::QuantPolicy{});
-  const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
-  expect_pool_invariant(
-      [&](ThreadPool* pool) { return conv.forward_fp(x, pool); }, "Conv2d fp");
-  expect_pool_invariant(
-      [&](ThreadPool* pool) { return conv.forward_int(qx, pool); },
-      "Conv2d int");
+  FrozenConv f{tfm::Conv2d(c.in_ch, c.out_ch, c.kernel, c.stride, c.pad, rng,
+                           c.depthwise),
+               tfm::Tensor::randn(tfm::Shape{c.in_ch, c.h, c.w}, rng, 1.0),
+               {}};
+  tfm::Tensor calib = f.x;
+  if (saturate) {
+    for (float& v : calib.data()) v /= 16.0F;
+  }
+  (void)f.conv.calibrate(calib);
+  const QuantParams in_qp{f.x.amax() / (saturate ? 4.0 : 1.0) / 127.0, 8,
+                          true};
+  (void)f.conv.freeze(in_qp, tfm::QuantPolicy{});
+  f.qx = tfm::QTensor::quantize(f.x, in_qp);
+  return f;
+}
+
+std::size_t count_codes_at_bus_edges(const tfm::QTensor& q) {
+  return static_cast<std::size_t>(std::count_if(
+      q.data().begin(), q.data().end(), [&](std::int32_t v) {
+        return v == q.params().qmin() || v == q.params().qmax();
+      }));
+}
+
+TEST(ThreadedForward, Conv2dBitIdentical) {
+  for (const ConvCase& c : conv_cases()) {
+    SCOPED_TRACE(c.name);
+    const FrozenConv f = make_frozen_conv(c, /*saturate=*/false);
+    expect_pool_invariant(
+        [&](ThreadPool* pool) { return f.conv.forward_fp(f.x, pool); },
+        "Conv2d fp");
+    expect_pool_invariant(
+        [&](ThreadPool* pool) { return f.conv.forward_int(f.qx, pool); },
+        "Conv2d int");
+  }
 }
 
 TEST(ThreadedForward, LayerNormBitIdentical) {
@@ -583,25 +650,29 @@ TEST(KernelBackendParity, LinearForwardBitIdenticalUnderEveryBackend) {
 }
 
 TEST(KernelBackendParity, ConvForwardsBitIdenticalUnderEveryBackend) {
-  Rng rng = eq_rng();
-  // Pointwise conv rides the channel-axpy fast path; the 3x3 conv stays on
-  // the general loop — both must be backend-invariant.
-  tfm::Conv2d pointwise(5, 7, 1, 1, 0, rng);
-  tfm::Conv2d general(4, 6, 3, 1, 1, rng);
-  tfm::Tensor xp = tfm::Tensor::randn(tfm::Shape{5, 9, 9}, rng, 1.0);
-  tfm::Tensor xg = tfm::Tensor::randn(tfm::Shape{4, 9, 9}, rng, 1.0);
-  (void)pointwise.calibrate(xp);
-  (void)general.calibrate(xg);
-  const QuantParams qp_p{xp.amax() / 127.0, 8, true};
-  const QuantParams qp_g{xg.amax() / 127.0, 8, true};
-  (void)pointwise.freeze(qp_p, tfm::QuantPolicy{});
-  (void)general.freeze(qp_g, tfm::QuantPolicy{});
-  const tfm::QTensor qxp = tfm::QTensor::quantize(xp, qp_p);
-  const tfm::QTensor qxg = tfm::QTensor::quantize(xg, qp_g);
-  expect_backend_invariant(
-      [&] { return pointwise.forward_int(qxp, nullptr); }, "Conv2d 1x1 int");
-  expect_backend_invariant(
-      [&] { return general.forward_int(qxg, nullptr); }, "Conv2d 3x3 int");
+  // Pointwise convs ride the channel-axpy branch, every other shape the
+  // padded im2col/depthwise path once the backend has a dot op; the scalar
+  // backend runs the bounds-checked oracle loop. Each case runs serial and
+  // pooled, and through a reused workspace whose parked scratch is dirty.
+  ThreadPool pool(3);
+  for (const ConvCase& c : conv_cases()) {
+    for (const bool saturate : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) + (saturate ? " saturating" : ""));
+      const FrozenConv f = make_frozen_conv(c, saturate);
+      if (saturate) {
+        ASSERT_GT(count_codes_at_bus_edges(f.qx), 0U);
+        ASSERT_GT(count_codes_at_bus_edges(f.conv.forward_int(f.qx)), 0U);
+      }
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        tfm::Workspace ws;
+        expect_backend_invariant(
+            [&] { return f.conv.forward_int(f.qx, p); }, "Conv2d int");
+        expect_backend_invariant(
+            [&] { return f.conv.forward_int(f.qx, p, &ws); },
+            "Conv2d int (workspace)");
+      }
+    }
+  }
 }
 
 TEST(KernelBackendParity, LayerNormAndSoftmaxBitIdenticalUnderEveryBackend) {
