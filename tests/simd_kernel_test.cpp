@@ -8,8 +8,10 @@
 // than letting them pass silently against nothing.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -103,6 +105,15 @@ TEST(SimdBackendRegistry, ScalarAlwaysRegisteredAndLast) {
   EXPECT_TRUE(kernel::backend_available(*backends.back()));
   // `auto` resolves to something runnable on every host.
   EXPECT_TRUE(kernel::backend_available(kernel::resolve_backend("auto")));
+  // Only `scalar` may be the all-null table: any other registered backend
+  // must vectorize at least one op, or it is a name without a kernel.
+  using OpBytes = std::array<std::byte, sizeof(kernel::KernelOps)>;
+  const OpBytes all_null = std::bit_cast<OpBytes>(kernel::KernelOps{});
+  for (const KernelBackend* b : backends) {
+    if (std::string(b->name) == "scalar") continue;
+    EXPECT_NE(std::bit_cast<OpBytes>(b->ops), all_null)
+        << "backend '" << b->name << "' sets no op";
+  }
 }
 
 TEST(SimdBackendRegistry, UnknownOrUnavailableNamesFailLoudly) {

@@ -9,9 +9,12 @@
 //            (no store), cold-with-publish, and from a persistent-cache hit
 //            (util/artifact_store.h), gated on the warmed units being
 //            bit-identical to the storeless cold fit.
-//   kernel — per-code provider/unit evaluation vs the batched span APIs.
+//   kernel — per-code provider/unit evaluation vs the batched span APIs;
+//            its `kernel_simd` entry times the scalar oracle against the
+//            dispatched SIMD backend, gated on bit-identical outputs.
 //   model  — table4/table5-style end-to-end forward passes (SegFormer and
-//            EfficientViT, int + fp), serial vs threaded pool.
+//            EfficientViT, int + fp), serial vs threaded pool, gated on
+//            the threaded integer logits matching the serial ones.
 //   serve  — scene-batched InferenceEngine (images/s) vs the serial
 //            per-image loop, with a bit-identity checksum gate; its
 //            `coserve` entry measures the async two-model Server
@@ -27,25 +30,34 @@
 //
 // Every expected section must be emitted: a skipped or failed section is
 // reported and the tool exits non-zero, so a stale BENCH_*.json can never
-// masquerade as a fresh one.
+// masquerade as a fresh one. Every bit-identity gate above also feeds the
+// exit code, which makes a small-knob run the `bench_to_json_smoke` ctest.
 //
-// Usage: bench_to_json [output_dir]   (default: current directory)
+// Usage: bench_to_json [output_dir]   (default: current directory; created
+//                                      if missing)
 // Knobs: GQA_BENCH_GENERATIONS (default 200) bounds the fit comparison;
 //        GQA_BENCH_REPS (default 3) repetitions, best run kept;
 //        GQA_BENCH_THREADS (default 4) lanes for the threaded forwards;
 //        GQA_SERVE_SCENES (default 12) images per serving dispatch.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <functional>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "../bench/bench_util.h"
+#include <unistd.h>
+
 #include "core/approximator.h"
 #include "util/artifact_store.h"
 #include "eval/engine.h"
@@ -160,7 +172,9 @@ Json width_report(int input_bits, int generations, int reps) {
 /// so the latency win can never hide a wrong artifact.
 Json fit_cache_section(int reps, bool& bit_identical) {
   namespace fs = std::filesystem;
-  const std::string dir = "/tmp/gqa_bench_fit_cache";
+  // Per-process, so concurrent runs never remove_all each other's store.
+  const std::string dir = "/tmp/gqa_bench_fit_cache_" +
+                          std::to_string(static_cast<long long>(::getpid()));
   const std::set<Op> ops = {Op::kGelu, Op::kHswish};
   const auto warm_once = [&] {
     const auto nl = tfm::NonlinearProvider::with_method(Method::kGqaRm, ops);
@@ -433,7 +447,8 @@ Json kernel_report(int reps, bool& bit_identical) {
 /// bit-identical (not just statistically close) to serial.
 template <typename ModelT>
 Json model_section(const ModelT& model, const tfm::Tensor& image,
-                   const tfm::NonlinearProvider& nl, int reps, int threads) {
+                   const tfm::NonlinearProvider& nl, int reps, int threads,
+                   bool& bit_identical) {
   ThreadPool pool(threads);
   std::int64_t serial_sum = 0, threaded_sum = 0;
   const double int_serial_ms = time_best_ms(reps, [&] {
@@ -461,10 +476,11 @@ Json model_section(const ModelT& model, const tfm::Tensor& image,
   j["fp_speedup"] = Json(fp_serial_ms / fp_threaded_ms);
   j["logit_code_checksum"] = Json(static_cast<double>(serial_sum));
   j["threaded_bit_identical"] = Json(serial_sum == threaded_sum);
+  bit_identical = bit_identical && serial_sum == threaded_sum;
   return j;
 }
 
-Json model_report(int reps) {
+Json model_report(int reps, bool& bit_identical) {
   const int threads = static_cast<int>(env_int("GQA_BENCH_THREADS", 4));
   Json j = Json::object();
   j["bench"] = Json("model");
@@ -491,7 +507,8 @@ Json model_report(int reps) {
         Method::kGqaRm, {Op::kExp, Op::kGelu, Op::kDiv, Op::kRsqrt});
     nl.warm_up({Op::kExp, Op::kGelu, Op::kDiv, Op::kRsqrt},
                tfm::NonlinearProvider::deployment_scale_exps());
-    j["segformer"] = model_section(model, image, nl, reps, threads);
+    j["segformer"] =
+        model_section(model, image, nl, reps, threads, bit_identical);
   }
 
   // EfficientViT slice (table5 inventory: HSWISH/DIV).
@@ -512,7 +529,8 @@ Json model_report(int reps) {
         Method::kGqaRm, {Op::kHswish, Op::kDiv});
     nl.warm_up({Op::kHswish, Op::kDiv},
                tfm::NonlinearProvider::deployment_scale_exps());
-    j["efficientvit"] = model_section(model, image, nl, reps, threads);
+    j["efficientvit"] =
+        model_section(model, image, nl, reps, threads, bit_identical);
   }
   return j;
 }
@@ -534,6 +552,148 @@ std::int64_t checksum(const std::vector<tfm::QTensor>& logits) {
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
+}
+
+/// The continuous-batching client the serving sections time: streams every
+/// (model_id, image) request through a submit-time callback and drains
+/// once — admission overlaps service with no per-ticket wait barrier.
+/// Each callback writes its own pre-assigned slot (disjoint, never
+/// reallocated; drain()'s completion handshake publishes the writes), so
+/// the result path is lock-free on the client. Callbacks must not throw
+/// (the server would swallow it); the first backend error is recorded and
+/// rethrown after the drain instead.
+std::vector<tfm::QTensor> serve_stream_continuous(
+    Server& server,
+    const std::vector<std::pair<int, const tfm::Tensor*>>& requests) {
+  std::vector<tfm::QTensor> results(requests.size());
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  for (std::size_t slot = 0; slot < requests.size(); ++slot) {
+    (void)server.submit(requests[slot].first, *requests[slot].second,
+                        [&results, &error_mutex, &first_error, slot](
+                            Server::Ticket, tfm::QTensor result,
+                            std::exception_ptr error) {
+                          if (error != nullptr) {
+                            std::lock_guard<std::mutex> lock(error_mutex);
+                            if (first_error == nullptr) first_error = error;
+                            return;
+                          }
+                          results[slot] = std::move(result);
+                        });
+  }
+  server.drain();  // every callback has run when drain returns
+  {
+    std::lock_guard<std::mutex> lock(error_mutex);
+    if (first_error != nullptr) std::rethrow_exception(first_error);
+  }
+  return results;
+}
+
+/// Outcome of one fault-tolerant streaming pass (serve_stream_faulty):
+/// per-slot results for the requests that succeeded (nullopt = resolved
+/// with an error), plus the admission-refusal and failure counts the
+/// serve_degraded section reports.
+struct FaultyStreamResult {
+  std::vector<std::optional<tfm::QTensor>> results;
+  std::size_t admission_rejected = 0;
+  std::size_t failed = 0;  ///< admitted but resolved with an error
+};
+
+/// serve_stream_continuous for chaos runs: the same streaming-callback
+/// client, but each request carries a retry/deadline policy, an injected
+/// admission refusal is counted instead of rethrown, and per-request
+/// failures are tallied rather than failing the whole stream — the caller
+/// decides what degraded service is worth (and checksums the successes).
+FaultyStreamResult serve_stream_faulty(
+    Server& server,
+    const std::vector<std::pair<int, const tfm::Tensor*>>& requests,
+    const SubmitOptions& submit_options) {
+  FaultyStreamResult out;
+  out.results.resize(requests.size());
+  std::atomic<std::size_t> failed{0};
+  for (std::size_t slot = 0; slot < requests.size(); ++slot) {
+    try {
+      (void)server.submit(requests[slot].first, *requests[slot].second,
+                          submit_options,
+                          [&out, &failed, slot](Server::Ticket,
+                                                tfm::QTensor result,
+                                                std::exception_ptr error) {
+                            if (error != nullptr) {
+                              failed.fetch_add(1,
+                                               std::memory_order_relaxed);
+                              return;
+                            }
+                            out.results[slot] = std::move(result);
+                          });
+    } catch (const ServingError&) {
+      ++out.admission_rejected;  // refused before a ticket existed
+    }
+  }
+  server.drain();  // every callback has run when drain returns
+  out.failed = failed.load();
+  return out;
+}
+
+/// Outcome of one open-loop streaming pass (run_stream_open_loop): the
+/// push ledger (ticket -> source image index, in push order), every frame
+/// the stream actually served keyed by ticket (for the bit-identity gate
+/// against serial forwards; frames resolved with a ServingError —
+/// dropped/superseded/expired — are counted by Server::Stats), and the
+/// wall time of the pass including the close() drain.
+struct StreamOpenLoopResult {
+  std::vector<std::pair<Server::Ticket, std::size_t>> pushed;
+  std::map<Server::Ticket, tfm::QTensor> served;
+  double wall_ms = 0.0;
+};
+
+/// The open-loop frame source of the serve_stream section: pushes
+/// `frames` frames (cycling through `images`) into one streaming session
+/// at a fixed offered cadence REGARDLESS of service progress — the
+/// real-time video shape, where a slow server does not slow the camera —
+/// and lets the stream's drop policy shed whatever the server cannot
+/// absorb. close() drains per the stream's drain_policy, so when this
+/// returns every pushed frame has resolved exactly once.
+StreamOpenLoopResult run_stream_open_loop(
+    Server& server, int model_id, const std::vector<tfm::Tensor>& images,
+    std::size_t frames, std::chrono::microseconds interval,
+    const StreamOptions& options) {
+  StreamOpenLoopResult out;
+  std::mutex mutex;
+  Server::StreamSession stream = server.open_stream(
+      model_id, options,
+      [&out, &mutex](Server::Ticket ticket, tfm::QTensor result,
+                     std::exception_ptr error) {
+        if (error != nullptr) return;
+        std::lock_guard<std::mutex> lock(mutex);
+        out.served.emplace(ticket, std::move(result));
+      });
+  Timer timer;
+  auto next_push = std::chrono::steady_clock::now();
+  for (std::size_t f = 0; f < frames; ++f) {
+    const std::size_t idx = f % images.size();
+    if (const std::optional<Server::Ticket> ticket =
+            stream.push_frame(images[idx])) {
+      out.pushed.emplace_back(*ticket, idx);
+    }
+    next_push += interval;
+    std::this_thread::sleep_until(next_push);
+  }
+  stream.close();
+  out.wall_ms = timer.milliseconds();
+  return out;
+}
+
+/// The mixed two-model request list of the co-serving sections: one
+/// SegFormer and one EfficientViT request per image, interleaved.
+std::vector<std::pair<int, const tfm::Tensor*>> mixed_request_list(
+    int seg_id, int evit_id, const std::vector<tfm::Tensor>& images) {
+  std::vector<std::pair<int, const tfm::Tensor*>> requests;
+  requests.reserve(2 * images.size());
+  for (const tfm::Tensor& img : images) {
+    requests.emplace_back(seg_id, &img);
+    requests.emplace_back(evit_id, &img);
+  }
+  return requests;
 }
 
 /// Scene-batched serving vs the seed-equivalent serial loop. Engine(1)
@@ -647,15 +807,15 @@ CoserveReports coserve_sections(const tfm::SegformerB0Like& seg,
   const int sw_seg = wide.register_model(seg, "segformer");
   const int sw_evit = wide.register_model(evit, "efficientvit");
 
-  // The continuous-batching client on the wide server (the benches'
-  // shared bench::serve_stream_continuous: streaming callbacks, lock-free
+  // The continuous-batching client on the wide server
+  // (serve_stream_continuous: streaming callbacks, lock-free
   // pre-assigned result slots, drain as the only sync point). A backend
   // error is rethrown after the drain, failing the section through
   // emit_artifact's catch and thereby the manifest gate.
   const std::size_t total = 2 * images.size();
   const auto continuous_stream = [&] {
-    return bench::serve_stream_continuous(
-        wide, bench::mixed_request_list(sw_seg, sw_evit, images));
+    return serve_stream_continuous(
+        wide, mixed_request_list(sw_seg, sw_evit, images));
   };
 
   // Interleaved rounds, median-of-paired-ratios — same protocol as the
@@ -752,7 +912,7 @@ Json serve_degraded_section(const tfm::SegformerB0Like& seg,
   const int seg_id = wide.register_model(seg, "segformer");
   const int evit_id = wide.register_model(evit, "efficientvit");
   const std::vector<std::pair<int, const tfm::Tensor*>> requests =
-      bench::mixed_request_list(seg_id, evit_id, images);
+      mixed_request_list(seg_id, evit_id, images);
 
   // Serial references in request order, for the per-success bit-identity
   // gate below.
@@ -772,16 +932,16 @@ Json serve_degraded_section(const tfm::SegformerB0Like& seg,
   for (int rep = 0; rep < std::max(reps, 5); ++rep) {
     {
       fault::FaultScope quiet{""};
-      bench::FaultyStreamResult clean;
+      FaultyStreamResult clean;
       clean_rounds.push_back(time_best_ms(
-          1, [&] { clean = bench::serve_stream_faulty(wide, requests,
+          1, [&] { clean = serve_stream_faulty(wide, requests,
                                                       retrying); }));
     }
     {
       fault::FaultScope chaos{kChaosSpec};
-      bench::FaultyStreamResult degraded;
+      FaultyStreamResult degraded;
       degraded_rounds.push_back(time_best_ms(
-          1, [&] { degraded = bench::serve_stream_faulty(wide, requests,
+          1, [&] { degraded = serve_stream_faulty(wide, requests,
                                                          retrying); }));
       failed += degraded.failed;
       admission_rejected += degraded.admission_rejected;
@@ -873,8 +1033,8 @@ Json serve_stream_section(const tfm::SegformerB0Like& seg,
     std::vector<double> fps;
     std::size_t pushed = 0, served = 0;
     for (int rep = 0; rep < rounds; ++rep) {
-      const bench::StreamOpenLoopResult run =
-          bench::run_stream_open_loop(server, model, images, frames,
+      const StreamOpenLoopResult run =
+          run_stream_open_loop(server, model, images, frames,
                                       interval, so);
       fps.push_back(static_cast<double>(run.served.size()) /
                     (run.wall_ms * 1e-3));
@@ -962,6 +1122,7 @@ Json serve_report(int reps, bool& bit_identical) {
 int main(int argc, char** argv) {
   const std::string out_dir = argc > 1 ? argv[1] : ".";
   const int reps = static_cast<int>(env_int("GQA_BENCH_REPS", 3));
+  std::filesystem::create_directories(out_dir);
 
   // The completeness manifest: every name here must be emitted below, or
   // the tool exits non-zero. A section that fails (or is silently skipped
@@ -1001,7 +1162,7 @@ int main(int argc, char** argv) {
   emit_artifact("kernel", "BENCH_kernel.json", {"kernel_simd"},
                 [&] { return kernel_report(reps, all_identical); });
   emit_artifact("model", "BENCH_model.json", {},
-                [&] { return model_report(reps); });
+                [&] { return model_report(reps, all_identical); });
   emit_artifact("serve", "BENCH_serve.json",
                 {"coserve", "coserve_continuous", "serve_degraded",
                  "serve_stream"},
