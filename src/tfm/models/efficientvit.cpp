@@ -92,66 +92,74 @@ Tensor concat_maps(const Tensor& a, const Tensor& b) {
 }  // namespace
 
 Tensor EfficientViTB0Like::penultimate_fp(const Tensor& image,
-                                          ThreadPool* pool,
-                                          Workspace* ws) const {
-  Tensor stem = stem_->forward_fp(image, pool, ws);
-  Tensor x = stem_act_.forward_fp(stem, pool, ws);
-  ws_release(ws, std::move(stem));
-  Tensor t = stage1_->forward_fp(x, pool, ws);
-  ws_release(ws, std::move(x));
-  x = stage2_->forward_fp(t, pool, ws);
-  ws_release(ws, std::move(t));
-  t = stage3_->forward_fp(x, pool, ws);
-  ws_release(ws, std::move(x));
+                                          const ExecContext& ctx) const {
+  Tensor stem = stem_->forward_fp(image, ctx);
+  Tensor x = stem_act_.forward_fp(stem, ctx);
+  ws_release(ctx.ws, std::move(stem));
+  Tensor t = stage1_->forward_fp(x, ctx);
+  ws_release(ctx.ws, std::move(x));
+  x = stage2_->forward_fp(t, ctx);
+  ws_release(ctx.ws, std::move(t));
+  t = stage3_->forward_fp(x, ctx);
+  ws_release(ctx.ws, std::move(x));
   x = std::move(t);
   {
     Tensor a = attn_tokens(
-        [this, pool, ws](const Tensor& tk) {
-          return evit3_.attn->forward_fp(tk, pool, ws);
+        [this, &ctx](const Tensor& tk) {
+          return evit3_.attn->forward_fp(tk, ctx);
         },
-        x, ws);
-    Tensor sum = evit3_.add.forward_fp(x, a, pool, ws);
-    ws_release(ws, std::move(a));
-    ws_release(ws, std::move(x));
-    x = evit3_.ffn->forward_fp(sum, pool, ws);
-    ws_release(ws, std::move(sum));
+        x, ctx.ws);
+    Tensor sum = evit3_.add.forward_fp(x, a, ctx);
+    ws_release(ctx.ws, std::move(a));
+    ws_release(ctx.ws, std::move(x));
+    x = evit3_.ffn->forward_fp(sum, ctx);
+    ws_release(ctx.ws, std::move(sum));
   }
   const Tensor f3 = x;
-  t = stage4_->forward_fp(x, pool, ws);
-  ws_release(ws, std::move(x));
+  if (ctx.calibrating) fuse_obs_.observe(std::span<const float>(f3.data()));
+  t = stage4_->forward_fp(x, ctx);
+  ws_release(ctx.ws, std::move(x));
   x = std::move(t);
   {
     Tensor a = attn_tokens(
-        [this, pool, ws](const Tensor& tk) {
-          return evit4_.attn->forward_fp(tk, pool, ws);
+        [this, &ctx](const Tensor& tk) {
+          return evit4_.attn->forward_fp(tk, ctx);
         },
-        x, ws);
-    Tensor sum = evit4_.add.forward_fp(x, a, pool, ws);
-    ws_release(ws, std::move(a));
-    ws_release(ws, std::move(x));
-    x = evit4_.ffn->forward_fp(sum, pool, ws);
-    ws_release(ws, std::move(sum));
+        x, ctx.ws);
+    Tensor sum = evit4_.add.forward_fp(x, a, ctx);
+    ws_release(ctx.ws, std::move(a));
+    ws_release(ctx.ws, std::move(x));
+    x = evit4_.ffn->forward_fp(sum, ctx);
+    ws_release(ctx.ws, std::move(sum));
   }
-  Tensor up = upsample2x(x, ws);
-  ws_release(ws, std::move(x));
+  if (ctx.calibrating) fuse_obs_.observe(std::span<const float>(x.data()));
+  Tensor up = upsample2x(x, ctx.ws);
+  ws_release(ctx.ws, std::move(x));
   const Tensor fused = concat_maps(f3, up);
-  ws_release(ws, std::move(up));
-  Tensor conv = head_conv_->forward_fp(fused, pool, ws);
-  Tensor feat = head_act_.forward_fp(conv, pool, ws);
-  ws_release(ws, std::move(conv));
-  Tensor out = to_tokens(feat, ws);
-  ws_release(ws, std::move(feat));
+  ws_release(ctx.ws, std::move(up));
+  Tensor conv = head_conv_->forward_fp(fused, ctx);
+  Tensor feat = head_act_.forward_fp(conv, ctx);
+  ws_release(ctx.ws, std::move(conv));
+  Tensor out = to_tokens(feat, ctx.ws);
+  ws_release(ctx.ws, std::move(feat));
   return out;
 }
 
+Tensor EfficientViTB0Like::forward_fp(const Tensor& image, ThreadPool* pool,
+                                      Workspace* ws) const {
+  return forward_fp(image, ExecContext{pool, ws});
+}
+
 Tensor EfficientViTB0Like::forward_fp(const Tensor& image,
-                                      ThreadPool* pool, Workspace* ws) const {
-  Tensor tokens = penultimate_fp(image, pool, ws);
+                                      const ExecContext& ctx) const {
+  Tensor tokens = penultimate_fp(image, ctx);
   const int side = config_.image_size / 8;
-  Tensor map = from_tokens(tokens, side, side, ws);
-  ws_release(ws, std::move(tokens));
-  Tensor out = classifier_->forward_fp(map, pool);
-  ws_release(ws, std::move(map));
+  Tensor map = from_tokens(tokens, side, side, ctx.ws);
+  ws_release(ctx.ws, std::move(tokens));
+  // The returned logits are caller-owned, so they bypass the workspace.
+  Tensor out = classifier_->forward_fp(
+      map, {.pool = ctx.pool, .calibrating = ctx.calibrating});
+  ws_release(ctx.ws, std::move(map));
   return out;
 }
 
@@ -174,29 +182,7 @@ void EfficientViTB0Like::train_classifier(
 
 void EfficientViTB0Like::calibrate(const Tensor& image) {
   input_obs_.observe(std::span<const float>(image.data()));
-  Tensor x = stem_act_.calibrate(stem_->calibrate(image));
-  x = stage1_->calibrate(x);
-  x = stage2_->calibrate(x);
-  x = stage3_->calibrate(x);
-  {
-    const Tensor a = attn_tokens(
-        [this](const Tensor& t) { return evit3_.attn->calibrate(t); }, x);
-    x = evit3_.add.calibrate(x, a);
-    x = evit3_.ffn->calibrate(x);
-  }
-  const Tensor f3 = x;
-  fuse_obs_.observe(std::span<const float>(f3.data()));
-  x = stage4_->calibrate(x);
-  {
-    const Tensor a = attn_tokens(
-        [this](const Tensor& t) { return evit4_.attn->calibrate(t); }, x);
-    x = evit4_.add.calibrate(x, a);
-    x = evit4_.ffn->calibrate(x);
-  }
-  fuse_obs_.observe(std::span<const float>(x.data()));
-  const Tensor fused = concat_maps(f3, upsample2x(x));
-  (void)classifier_->calibrate(
-      head_act_.calibrate(head_conv_->calibrate(fused)));
+  (void)forward_fp(image, ExecContext{.calibrating = true});
 }
 
 void EfficientViTB0Like::freeze() {
@@ -234,54 +220,55 @@ QTensor EfficientViTB0Like::forward_int(const Tensor& image,
                                         const NonlinearProvider& nl,
                                         ThreadPool* pool, Workspace* ws) const {
   GQA_EXPECTS_MSG(frozen_, "forward_int() requires freeze()");
+  const ExecContext ctx{pool, ws};
   QTensor x = QTensor::quantize(image, input_qp_);
-  QTensor stem = stem_->forward_int(x, pool, ws);
-  ws_release(ws, std::move(x));
-  x = stem_act_.forward_int(stem, nl, pool, ws);
-  ws_release(ws, std::move(stem));
-  QTensor t = stage1_->forward_int(x, nl, pool, ws);
-  ws_release(ws, std::move(x));
-  x = stage2_->forward_int(t, nl, pool, ws);
-  ws_release(ws, std::move(t));
-  t = stage3_->forward_int(x, nl, pool, ws);
-  ws_release(ws, std::move(x));
+  QTensor stem = stem_->forward_int(x, ctx);
+  ws_release(ctx.ws, std::move(x));
+  x = stem_act_.forward_int(stem, nl, ctx);
+  ws_release(ctx.ws, std::move(stem));
+  QTensor t = stage1_->forward_int(x, nl, ctx);
+  ws_release(ctx.ws, std::move(x));
+  x = stage2_->forward_int(t, nl, ctx);
+  ws_release(ctx.ws, std::move(t));
+  t = stage3_->forward_int(x, nl, ctx);
+  ws_release(ctx.ws, std::move(x));
   x = std::move(t);
   {
     QTensor a = attn_tokens(
-        [this, &nl, pool, ws](const QTensor& tk) {
-          return evit3_.attn->forward_int(tk, nl, pool, ws);
+        [this, &nl, &ctx](const QTensor& tk) {
+          return evit3_.attn->forward_int(tk, nl, ctx);
         },
-        x, ws);
-    QTensor sum = evit3_.add.forward_int(x, a, pool, ws);
-    ws_release(ws, std::move(a));
-    ws_release(ws, std::move(x));
-    x = evit3_.ffn->forward_int(sum, nl, pool, ws);
-    ws_release(ws, std::move(sum));
+        x, ctx.ws);
+    QTensor sum = evit3_.add.forward_int(x, a, ctx);
+    ws_release(ctx.ws, std::move(a));
+    ws_release(ctx.ws, std::move(x));
+    x = evit3_.ffn->forward_int(sum, nl, ctx);
+    ws_release(ctx.ws, std::move(sum));
   }
   const QTensor f3 = x;
-  t = stage4_->forward_int(x, nl, pool, ws);
-  ws_release(ws, std::move(x));
+  t = stage4_->forward_int(x, nl, ctx);
+  ws_release(ctx.ws, std::move(x));
   x = std::move(t);
   {
     QTensor a = attn_tokens(
-        [this, &nl, pool, ws](const QTensor& tk) {
-          return evit4_.attn->forward_int(tk, nl, pool, ws);
+        [this, &nl, &ctx](const QTensor& tk) {
+          return evit4_.attn->forward_int(tk, nl, ctx);
         },
-        x, ws);
-    QTensor sum = evit4_.add.forward_int(x, a, pool, ws);
-    ws_release(ws, std::move(a));
-    ws_release(ws, std::move(x));
-    x = evit4_.ffn->forward_int(sum, nl, pool, ws);
-    ws_release(ws, std::move(sum));
+        x, ctx.ws);
+    QTensor sum = evit4_.add.forward_int(x, a, ctx);
+    ws_release(ctx.ws, std::move(a));
+    ws_release(ctx.ws, std::move(x));
+    x = evit4_.ffn->forward_int(sum, nl, ctx);
+    ws_release(ctx.ws, std::move(sum));
   }
   // Integer concat on the shared fuse scale.
-  QTensor f4_up = upsample2x(x, ws);
-  ws_release(ws, std::move(x));
+  QTensor f4_up = upsample2x(x, ctx.ws);
+  ws_release(ctx.ws, std::move(x));
   const int h = f3.shape()[1];
   const int w = f3.shape()[2];
   const int c3 = f3.shape()[0];
   const int c4 = f4_up.shape()[0];
-  QTensor fused = ws_qtensor(ws, Shape{c3 + c4, h, w}, fuse_qp_);
+  QTensor fused = ws_qtensor(ctx.ws, Shape{c3 + c4, h, w}, fuse_qp_);
   for (int c = 0; c < c3; ++c)
     for (int yy = 0; yy < h; ++yy)
       for (int xx = 0; xx < w; ++xx)
@@ -292,32 +279,14 @@ QTensor EfficientViTB0Like::forward_int(const Tensor& image,
       for (int xx = 0; xx < w; ++xx)
         fused.at(c3 + c, yy, xx) =
             static_cast<std::int32_t>(rq_f4_.apply(f4_up.at(c, yy, xx)));
-  ws_release(ws, std::move(f4_up));
-  QTensor conv = head_conv_->forward_int(fused, pool, ws);
-  ws_release(ws, std::move(fused));
-  QTensor feat = head_act_.forward_int(conv, nl, pool, ws);
-  ws_release(ws, std::move(conv));
-  QTensor out = classifier_->forward_int(feat, pool);
-  ws_release(ws, std::move(feat));
+  ws_release(ctx.ws, std::move(f4_up));
+  QTensor conv = head_conv_->forward_int(fused, ctx);
+  ws_release(ctx.ws, std::move(fused));
+  QTensor feat = head_act_.forward_int(conv, nl, ctx);
+  ws_release(ctx.ws, std::move(conv));
+  QTensor out = classifier_->forward_int(feat, {.pool = pool});
+  ws_release(ctx.ws, std::move(feat));
   return out;
-}
-
-std::vector<Tensor> EfficientViTB0Like::forward_fp_batch(
-    std::span<const Tensor> images, ThreadPool* pool,
-    WorkspacePool* workspaces) const {
-  return ws_batch<Tensor>(images.size(), pool, workspaces,
-                          [&](std::size_t i, Workspace* ws) {
-                            return forward_fp(images[i], nullptr, ws);
-                          });
-}
-
-std::vector<QTensor> EfficientViTB0Like::forward_int_batch(
-    std::span<const Tensor> images, const NonlinearProvider& nl,
-    ThreadPool* pool, WorkspacePool* workspaces) const {
-  return ws_batch<QTensor>(images.size(), pool, workspaces,
-                           [&](std::size_t i, Workspace* ws) {
-                             return forward_int(images[i], nl, nullptr, ws);
-                           });
 }
 
 std::vector<int> EfficientViTB0Like::argmax_labels(const Tensor& logits) {

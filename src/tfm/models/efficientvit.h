@@ -7,7 +7,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "tfm/modules.h"
@@ -35,11 +34,14 @@ class EfficientViTB0Like {
   [[nodiscard]] Tensor forward_fp(const Tensor& image,
                                   ThreadPool* pool = nullptr,
                                   Workspace* ws = nullptr) const;
+  /// Same forward under a full ExecContext; a calibrating one also records
+  /// every module's activation ranges (see modules.h).
+  [[nodiscard]] Tensor forward_fp(const Tensor& image,
+                                  const ExecContext& ctx) const;
 
   /// FP32 penultimate features {H/8·W/8, head_dim} (post-HSWISH tokens).
   [[nodiscard]] Tensor penultimate_fp(const Tensor& image,
-                                      ThreadPool* pool = nullptr,
-                                      Workspace* ws = nullptr) const;
+                                      const ExecContext& ctx = {}) const;
 
   /// Trains the final classifier (softmax linear probe) on labels at
   /// H/8 x W/8 resolution. Must run before calibrate()/freeze().
@@ -47,6 +49,7 @@ class EfficientViTB0Like {
                         const std::vector<std::vector<int>>& eighth_labels,
                         int epochs = 40, double learning_rate = 0.15);
 
+  /// Records the input range, then runs one calibrating forward_fp.
   void calibrate(const Tensor& image);
   void freeze();
   /// A non-null pool fans channels/rows out across its lanes; the provider
@@ -55,16 +58,6 @@ class EfficientViTB0Like {
                                     const NonlinearProvider& nl,
                                     ThreadPool* pool = nullptr,
                                     Workspace* ws = nullptr) const;
-
-  /// Scene-batched entry points: one *serial* forward per image fanned out
-  /// across the pool, each chunk with its own Workspace. Bit-identical to a
-  /// serial per-image loop (see SegformerB0Like for the contract).
-  [[nodiscard]] std::vector<Tensor> forward_fp_batch(
-      std::span<const Tensor> images, ThreadPool* pool = nullptr,
-      WorkspacePool* workspaces = nullptr) const;
-  [[nodiscard]] std::vector<QTensor> forward_int_batch(
-      std::span<const Tensor> images, const NonlinearProvider& nl,
-      ThreadPool* pool = nullptr, WorkspacePool* workspaces = nullptr) const;
 
   /// Per-pixel argmax labels of a logits map {C, h, w}. Every model exposes
   /// its own static so generic harnesses (SegTask) can write
@@ -93,7 +86,7 @@ class EfficientViTB0Like {
   Activation head_act_{Op::kHswish};
   std::unique_ptr<Conv2d> classifier_;
   RangeObserver input_obs_;
-  RangeObserver fuse_obs_;
+  mutable RangeObserver fuse_obs_;
   QuantParams input_qp_, fuse_qp_;
   Requantizer rq_f3_, rq_f4_;
   bool frozen_ = false;

@@ -84,81 +84,88 @@ SegformerB0Like::SegformerB0Like(const SegformerConfig& config)
 }
 
 Tensor SegformerB0Like::penultimate_fp(const Tensor& image,
-                                       ThreadPool* pool, Workspace* ws) const {
+                                       const ExecContext& ctx) const {
   GQA_EXPECTS(image.shape().rank() == 3 &&
               image.shape()[0] == config_.in_channels);
   Tensor x = image;
   std::vector<Tensor> features;
   for (const Stage& stage : stages_) {
-    Tensor map = stage.patch_embed->forward_fp(x, pool, ws);
-    if (&stage != &stages_.front()) ws_release(ws, std::move(x));
+    Tensor map = stage.patch_embed->forward_fp(x, ctx);
+    if (&stage != &stages_.front()) ws_release(ctx.ws, std::move(x));
     const int h = map.shape()[1];
     const int w = map.shape()[2];
-    Tensor map_tokens = to_tokens(map, ws);
-    ws_release(ws, std::move(map));
-    Tensor tokens = stage.embed_norm->forward_fp(map_tokens, pool, ws);
-    ws_release(ws, std::move(map_tokens));
+    Tensor map_tokens = to_tokens(map, ctx.ws);
+    ws_release(ctx.ws, std::move(map));
+    Tensor tokens = stage.embed_norm->forward_fp(map_tokens, ctx);
+    ws_release(ctx.ws, std::move(map_tokens));
     for (const Block& block : stage.blocks) {
-      Tensor n1 = block.ln1->forward_fp(tokens, pool, ws);
-      Tensor a = block.attn->forward_fp(n1, h, w, pool, ws);
-      ws_release(ws, std::move(n1));
-      Tensor sum1 = block.add1.forward_fp(tokens, a, pool, ws);
-      ws_release(ws, std::move(a));
-      ws_release(ws, std::move(tokens));
+      Tensor n1 = block.ln1->forward_fp(tokens, ctx);
+      Tensor a = block.attn->forward_fp(n1, h, w, ctx);
+      ws_release(ctx.ws, std::move(n1));
+      Tensor sum1 = block.add1.forward_fp(tokens, a, ctx);
+      ws_release(ctx.ws, std::move(a));
+      ws_release(ctx.ws, std::move(tokens));
       tokens = std::move(sum1);
-      Tensor n2 = block.ln2->forward_fp(tokens, pool, ws);
-      Tensor f = block.ffn->forward_fp(n2, h, w, pool, ws);
-      ws_release(ws, std::move(n2));
-      Tensor sum2 = block.add2.forward_fp(tokens, f, pool, ws);
-      ws_release(ws, std::move(f));
-      ws_release(ws, std::move(tokens));
+      Tensor n2 = block.ln2->forward_fp(tokens, ctx);
+      Tensor f = block.ffn->forward_fp(n2, h, w, ctx);
+      ws_release(ctx.ws, std::move(n2));
+      Tensor sum2 = block.add2.forward_fp(tokens, f, ctx);
+      ws_release(ctx.ws, std::move(f));
+      ws_release(ctx.ws, std::move(tokens));
       tokens = std::move(sum2);
     }
-    Tensor normed = stage.out_norm->forward_fp(tokens, pool, ws);
-    ws_release(ws, std::move(tokens));
-    x = from_tokens(normed, h, w, ws);
-    ws_release(ws, std::move(normed));
+    Tensor normed = stage.out_norm->forward_fp(tokens, ctx);
+    ws_release(ctx.ws, std::move(tokens));
+    x = from_tokens(normed, h, w, ctx.ws);
+    ws_release(ctx.ws, std::move(normed));
     features.push_back(x);
   }
 
   // Decode head at 1/4 resolution.
   const int oh = features[0].shape()[1];
   const int ow = features[0].shape()[2];
-  Tensor fused = ws_tensor(ws, Shape{oh * ow, 4 * config_.decoder_dim});
+  Tensor fused = ws_tensor(ctx.ws, Shape{oh * ow, 4 * config_.decoder_dim});
   for (int s = 0; s < 4; ++s) {
     Tensor& feat = features[static_cast<std::size_t>(s)];
-    Tensor feat_tokens = to_tokens(feat, ws);
+    Tensor feat_tokens = to_tokens(feat, ctx.ws);
     Tensor proj = head_linears_[static_cast<std::size_t>(s)]->forward_fp(
-        feat_tokens, pool, ws);
-    ws_release(ws, std::move(feat_tokens));
-    Tensor proj_map = from_tokens(proj, feat.shape()[1], feat.shape()[2], ws);
-    ws_release(ws, std::move(proj));
-    Tensor up = upsample_nearest(proj_map, oh, ow, ws);
-    ws_release(ws, std::move(proj_map));
-    Tensor up_tokens = to_tokens(up, ws);
-    ws_release(ws, std::move(up));
+        feat_tokens, ctx);
+    ws_release(ctx.ws, std::move(feat_tokens));
+    if (ctx.calibrating) head_obs_.observe(std::span<const float>(proj.data()));
+    Tensor proj_map =
+        from_tokens(proj, feat.shape()[1], feat.shape()[2], ctx.ws);
+    ws_release(ctx.ws, std::move(proj));
+    Tensor up = upsample_nearest(proj_map, oh, ow, ctx.ws);
+    ws_release(ctx.ws, std::move(proj_map));
+    Tensor up_tokens = to_tokens(up, ctx.ws);
+    ws_release(ctx.ws, std::move(up));
     for (int i = 0; i < oh * ow; ++i) {
       for (int d = 0; d < config_.decoder_dim; ++d) {
         fused.at(i, s * config_.decoder_dim + d) = up_tokens.at(i, d);
       }
     }
-    ws_release(ws, std::move(up_tokens));
-    ws_release(ws, std::move(feat));
+    ws_release(ctx.ws, std::move(up_tokens));
+    ws_release(ctx.ws, std::move(feat));
   }
-  Tensor y = head_fuse_->forward_fp(fused, pool, ws);
-  ws_release(ws, std::move(fused));
+  Tensor y = head_fuse_->forward_fp(fused, ctx);
+  ws_release(ctx.ws, std::move(fused));
   for (float& v : y.data()) v = std::max(v, 0.0F);  // head ReLU
   return y;
 }
 
+Tensor SegformerB0Like::forward_fp(const Tensor& image, ThreadPool* pool,
+                                   Workspace* ws) const {
+  return forward_fp(image, ExecContext{pool, ws});
+}
+
 Tensor SegformerB0Like::forward_fp(const Tensor& image,
-                                   ThreadPool* pool, Workspace* ws) const {
-  Tensor y = penultimate_fp(image, pool, ws);
+                                   const ExecContext& ctx) const {
+  Tensor y = penultimate_fp(image, ctx);
   const int side = config_.image_size / 4;
-  Tensor logits = head_classifier_->forward_fp(y, pool, ws);
-  ws_release(ws, std::move(y));
+  Tensor logits = head_classifier_->forward_fp(y, ctx);
+  ws_release(ctx.ws, std::move(y));
   Tensor out = from_tokens(logits, side, side);
-  ws_release(ws, std::move(logits));
+  ws_release(ctx.ws, std::move(logits));
   return out;
 }
 
@@ -179,45 +186,7 @@ void SegformerB0Like::train_classifier(
 
 void SegformerB0Like::calibrate(const Tensor& image) {
   input_obs_.observe(std::span<const float>(image.data()));
-  Tensor x = image;
-  std::vector<Tensor> features;
-  for (Stage& stage : stages_) {
-    Tensor map = stage.patch_embed->calibrate(x);
-    const int h = map.shape()[1];
-    const int w = map.shape()[2];
-    Tensor tokens = stage.embed_norm->calibrate(to_tokens(map));
-    for (Block& block : stage.blocks) {
-      Tensor a = block.attn->calibrate(block.ln1->calibrate(tokens), h, w);
-      tokens = block.add1.calibrate(tokens, a);
-      Tensor f = block.ffn->calibrate(block.ln2->calibrate(tokens), h, w);
-      tokens = block.add2.calibrate(tokens, f);
-    }
-    tokens = stage.out_norm->calibrate(tokens);
-    x = from_tokens(tokens, h, w);
-    features.push_back(x);
-  }
-
-  const int oh = features[0].shape()[1];
-  const int ow = features[0].shape()[2];
-  Tensor fused(Shape{oh * ow, 4 * config_.decoder_dim});
-  for (int s = 0; s < 4; ++s) {
-    Tensor proj = head_linears_[static_cast<std::size_t>(s)]->calibrate(
-        to_tokens(features[static_cast<std::size_t>(s)]));
-    head_obs_.observe(std::span<const float>(proj.data()));
-    Tensor up = upsample_nearest(
-        from_tokens(proj, features[static_cast<std::size_t>(s)].shape()[1],
-                    features[static_cast<std::size_t>(s)].shape()[2]),
-        oh, ow);
-    const Tensor up_tokens = to_tokens(up);
-    for (int i = 0; i < oh * ow; ++i) {
-      for (int d = 0; d < config_.decoder_dim; ++d) {
-        fused.at(i, s * config_.decoder_dim + d) = up_tokens.at(i, d);
-      }
-    }
-  }
-  Tensor y = head_fuse_->calibrate(fused);
-  for (float& v : y.data()) v = std::max(v, 0.0F);
-  (void)head_classifier_->calibrate(y);
+  (void)forward_fp(image, ExecContext{.calibrating = true});
 }
 
 void SegformerB0Like::freeze() {
@@ -261,98 +230,81 @@ QTensor SegformerB0Like::forward_int(const Tensor& image,
                                      const NonlinearProvider& nl,
                                      ThreadPool* pool, Workspace* ws) const {
   GQA_EXPECTS_MSG(frozen_, "forward_int() requires freeze()");
+  const ExecContext ctx{pool, ws};
   QTensor x = QTensor::quantize(image, input_qp_);
   std::vector<QTensor> features;
   for (const Stage& stage : stages_) {
-    QTensor map = stage.patch_embed->forward_int(x, pool, ws);
-    ws_release(ws, std::move(x));
+    QTensor map = stage.patch_embed->forward_int(x, ctx);
+    ws_release(ctx.ws, std::move(x));
     const int h = map.shape()[1];
     const int w = map.shape()[2];
-    QTensor map_tokens = to_tokens(map, ws);
-    ws_release(ws, std::move(map));
-    QTensor tokens = stage.embed_norm->forward_int(map_tokens, nl, pool, ws);
-    ws_release(ws, std::move(map_tokens));
+    QTensor map_tokens = to_tokens(map, ctx.ws);
+    ws_release(ctx.ws, std::move(map));
+    QTensor tokens = stage.embed_norm->forward_int(map_tokens, nl, ctx);
+    ws_release(ctx.ws, std::move(map_tokens));
     for (const Block& block : stage.blocks) {
-      QTensor n1 = block.ln1->forward_int(tokens, nl, pool, ws);
-      QTensor a = block.attn->forward_int(n1, h, w, nl, pool, ws);
-      ws_release(ws, std::move(n1));
-      QTensor sum1 = block.add1.forward_int(tokens, a, pool, ws);
-      ws_release(ws, std::move(a));
-      ws_release(ws, std::move(tokens));
+      QTensor n1 = block.ln1->forward_int(tokens, nl, ctx);
+      QTensor a = block.attn->forward_int(n1, h, w, nl, ctx);
+      ws_release(ctx.ws, std::move(n1));
+      QTensor sum1 = block.add1.forward_int(tokens, a, ctx);
+      ws_release(ctx.ws, std::move(a));
+      ws_release(ctx.ws, std::move(tokens));
       tokens = std::move(sum1);
-      QTensor n2 = block.ln2->forward_int(tokens, nl, pool, ws);
-      QTensor f = block.ffn->forward_int(n2, h, w, nl, pool, ws);
-      ws_release(ws, std::move(n2));
-      QTensor sum2 = block.add2.forward_int(tokens, f, pool, ws);
-      ws_release(ws, std::move(f));
-      ws_release(ws, std::move(tokens));
+      QTensor n2 = block.ln2->forward_int(tokens, nl, ctx);
+      QTensor f = block.ffn->forward_int(n2, h, w, nl, ctx);
+      ws_release(ctx.ws, std::move(n2));
+      QTensor sum2 = block.add2.forward_int(tokens, f, ctx);
+      ws_release(ctx.ws, std::move(f));
+      ws_release(ctx.ws, std::move(tokens));
       tokens = std::move(sum2);
     }
-    QTensor normed = stage.out_norm->forward_int(tokens, nl, pool, ws);
-    ws_release(ws, std::move(tokens));
-    x = from_tokens(normed, h, w, ws);
-    ws_release(ws, std::move(normed));
+    QTensor normed = stage.out_norm->forward_int(tokens, nl, ctx);
+    ws_release(ctx.ws, std::move(tokens));
+    x = from_tokens(normed, h, w, ctx.ws);
+    ws_release(ctx.ws, std::move(normed));
     features.push_back(x);
   }
 
   const int oh = features[0].shape()[1];
   const int ow = features[0].shape()[2];
-  QTensor fused = ws_qtensor(ws, Shape{oh * ow, 4 * config_.decoder_dim},
+  QTensor fused = ws_qtensor(ctx.ws, Shape{oh * ow, 4 * config_.decoder_dim},
                              head_qp_);
   for (int s = 0; s < 4; ++s) {
     QTensor& feat = features[static_cast<std::size_t>(s)];
-    QTensor feat_tokens = to_tokens(feat, ws);
+    QTensor feat_tokens = to_tokens(feat, ctx.ws);
     QTensor proj = head_linears_[static_cast<std::size_t>(s)]->forward_int(
-        feat_tokens, pool, ws);
-    ws_release(ws, std::move(feat_tokens));
+        feat_tokens, ctx);
+    ws_release(ctx.ws, std::move(feat_tokens));
     // Requantize onto the common head scale, then upsample codes.
-    QTensor aligned = ws_qtensor(ws, proj.shape(), head_qp_);
+    QTensor aligned = ws_qtensor(ctx.ws, proj.shape(), head_qp_);
     for (std::size_t i = 0; i < proj.data().size(); ++i) {
       aligned.data()[i] = static_cast<std::int32_t>(
           head_rq_[static_cast<std::size_t>(s)].apply(proj.data()[i]));
     }
-    ws_release(ws, std::move(proj));
+    ws_release(ctx.ws, std::move(proj));
     QTensor aligned_map =
-        from_tokens(aligned, feat.shape()[1], feat.shape()[2], ws);
-    ws_release(ws, std::move(aligned));
-    QTensor up = upsample_nearest(aligned_map, oh, ow, ws);
-    ws_release(ws, std::move(aligned_map));
-    QTensor up_tokens = to_tokens(up, ws);
-    ws_release(ws, std::move(up));
+        from_tokens(aligned, feat.shape()[1], feat.shape()[2], ctx.ws);
+    ws_release(ctx.ws, std::move(aligned));
+    QTensor up = upsample_nearest(aligned_map, oh, ow, ctx.ws);
+    ws_release(ctx.ws, std::move(aligned_map));
+    QTensor up_tokens = to_tokens(up, ctx.ws);
+    ws_release(ctx.ws, std::move(up));
     for (int i = 0; i < oh * ow; ++i) {
       for (int d = 0; d < config_.decoder_dim; ++d) {
         fused.at(i, s * config_.decoder_dim + d) = up_tokens.at(i, d);
       }
     }
-    ws_release(ws, std::move(up_tokens));
-    ws_release(ws, std::move(feat));
+    ws_release(ctx.ws, std::move(up_tokens));
+    ws_release(ctx.ws, std::move(feat));
   }
-  QTensor y = head_fuse_->forward_int(fused, pool, ws);
-  ws_release(ws, std::move(fused));
+  QTensor y = head_fuse_->forward_int(fused, ctx);
+  ws_release(ctx.ws, std::move(fused));
   for (std::int32_t& v : y.data()) v = std::max(v, 0);  // integer ReLU
-  QTensor logits = head_classifier_->forward_int(y, pool, ws);
-  ws_release(ws, std::move(y));
+  QTensor logits = head_classifier_->forward_int(y, ctx);
+  ws_release(ctx.ws, std::move(y));
   QTensor out = from_tokens(logits, oh, ow);
-  ws_release(ws, std::move(logits));
+  ws_release(ctx.ws, std::move(logits));
   return out;
-}
-
-std::vector<Tensor> SegformerB0Like::forward_fp_batch(
-    std::span<const Tensor> images, ThreadPool* pool,
-    WorkspacePool* workspaces) const {
-  return ws_batch<Tensor>(images.size(), pool, workspaces,
-                          [&](std::size_t i, Workspace* ws) {
-                            return forward_fp(images[i], nullptr, ws);
-                          });
-}
-
-std::vector<QTensor> SegformerB0Like::forward_int_batch(
-    std::span<const Tensor> images, const NonlinearProvider& nl,
-    ThreadPool* pool, WorkspacePool* workspaces) const {
-  return ws_batch<QTensor>(images.size(), pool, workspaces,
-                           [&](std::size_t i, Workspace* ws) {
-                             return forward_int(images[i], nl, nullptr, ws);
-                           });
 }
 
 std::vector<int> SegformerB0Like::argmax_labels(const Tensor& logits) {

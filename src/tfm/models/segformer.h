@@ -9,7 +9,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "tfm/modules.h"
@@ -40,11 +39,14 @@ class SegformerB0Like {
   [[nodiscard]] Tensor forward_fp(const Tensor& image,
                                   ThreadPool* pool = nullptr,
                                   Workspace* ws = nullptr) const;
+  /// Same forward under a full ExecContext; a calibrating one also records
+  /// every module's activation ranges (see modules.h).
+  [[nodiscard]] Tensor forward_fp(const Tensor& image,
+                                  const ExecContext& ctx) const;
 
   /// FP32 penultimate features: relu(fused decode tokens), {H/4·W/4, dim}.
   [[nodiscard]] Tensor penultimate_fp(const Tensor& image,
-                                      ThreadPool* pool = nullptr,
-                                      Workspace* ws = nullptr) const;
+                                      const ExecContext& ctx = {}) const;
 
   /// Trains the final classifier (softmax linear probe, frozen backbone)
   /// on labels at H/4 x W/4 resolution — the reproduction's stand-in for
@@ -53,7 +55,7 @@ class SegformerB0Like {
                         const std::vector<std::vector<int>>& quarter_labels,
                         int epochs = 40, double learning_rate = 0.15);
 
-  /// Runs the FP32 path recording activation ranges.
+  /// Records the input range, then runs one calibrating forward_fp.
   void calibrate(const Tensor& image);
 
   /// Builds the integer model (weights, scales, requantizers).
@@ -66,19 +68,6 @@ class SegformerB0Like {
                                     const NonlinearProvider& nl,
                                     ThreadPool* pool = nullptr,
                                     Workspace* ws = nullptr) const;
-
-  /// Scene-batched entry points: one *serial* forward per image, fanned out
-  /// across the pool (image-level parallelism — the deployment shape for
-  /// fixed nonlinear units). Each in-flight chunk borrows a Workspace from
-  /// `workspaces` (or uses a chunk-local one), so steady-state dispatches
-  /// reuse layer storage. Results are bit-identical to calling the
-  /// per-image forward in a serial loop.
-  [[nodiscard]] std::vector<Tensor> forward_fp_batch(
-      std::span<const Tensor> images, ThreadPool* pool = nullptr,
-      WorkspacePool* workspaces = nullptr) const;
-  [[nodiscard]] std::vector<QTensor> forward_int_batch(
-      std::span<const Tensor> images, const NonlinearProvider& nl,
-      ThreadPool* pool = nullptr, WorkspacePool* workspaces = nullptr) const;
 
   /// Per-pixel argmax labels of a logits map {C, h, w}.
   [[nodiscard]] static std::vector<int> argmax_labels(const Tensor& logits);
@@ -111,7 +100,7 @@ class SegformerB0Like {
   RangeObserver input_obs_;
   QuantParams input_qp_;
   // Common scale the upsampled per-stage features are requantized onto.
-  RangeObserver head_obs_;
+  mutable RangeObserver head_obs_;
   QuantParams head_qp_;
   std::vector<Requantizer> head_rq_;
   bool frozen_ = false;

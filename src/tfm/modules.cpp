@@ -52,11 +52,14 @@ constexpr std::size_t kMinRowsPerLane = 8;
 constexpr std::size_t kMinChannelsPerLane = 2;
 constexpr std::size_t kMinElemsPerLane = 4096;
 
-/// Workspace handle usable inside a fan-out body: the workspace may only be
-/// touched by the calling thread, so it is forwarded only when the fan-out
-/// is guaranteed to run inline (no pool / single lane).
-Workspace* inline_ws(ThreadPool* pool, Workspace* ws) {
-  return (pool == nullptr || pool->size() <= 1) ? ws : nullptr;
+/// Records a calibrating forward's output range; a plain forward never
+/// touches the observer. Observers are unsynchronised, so calibration is
+/// rejected on a multi-lane pool.
+void observe(const ExecContext& ctx, RangeObserver& obs, const Tensor& y) {
+  if (!ctx.calibrating) return;
+  GQA_EXPECTS_MSG(ctx.serial(),
+                  "a calibrating forward must not fan out across lanes");
+  obs.observe(std::span<const float>(y.data()));
 }
 
 }  // namespace
@@ -71,13 +74,12 @@ Linear::Linear(int in_features, int out_features, Rng& rng)
   b_ = Tensor::randn(Shape{out_}, rng, 0.02);
 }
 
-Tensor Linear::forward_fp(const Tensor& x, ThreadPool* pool,
-                          Workspace* ws) const {
+Tensor Linear::forward_fp(const Tensor& x, const ExecContext& ctx) const {
   GQA_EXPECTS(x.shape().rank() == 2 && x.shape()[1] == in_);
   const int n = x.shape()[0];
-  Tensor y = ws_tensor(ws, Shape{n, out_});
+  Tensor y = ws_tensor(ctx.ws, Shape{n, out_});
   pooled_for(
-      pool, static_cast<std::size_t>(n),
+      ctx.pool, static_cast<std::size_t>(n),
       [&](std::size_t row) {
         const int i = static_cast<int>(row);
         for (int o = 0; o < out_; ++o) {
@@ -87,12 +89,7 @@ Tensor Linear::forward_fp(const Tensor& x, ThreadPool* pool,
         }
       },
       kMinRowsPerLane);
-  return y;
-}
-
-Tensor Linear::calibrate(const Tensor& x) {
-  Tensor y = forward_fp(x);
-  out_obs_.observe(std::span<const float>(y.data()));
+  observe(ctx, out_obs_, y);
   return y;
 }
 
@@ -109,18 +106,17 @@ QuantParams Linear::freeze(const QuantParams& in_qp,
   return out_qp_;
 }
 
-QTensor Linear::forward_int(const QTensor& x, ThreadPool* pool,
-                            Workspace* ws) const {
+QTensor Linear::forward_int(const QTensor& x, const ExecContext& ctx) const {
   GQA_EXPECTS(x.shape().rank() == 2 && x.shape()[1] == in_);
   GQA_EXPECTS_MSG(x.params() == in_qp_, "input params differ from freeze()");
   const int n = x.shape()[0];
-  QTensor y = ws_qtensor(ws, Shape{n, out_}, out_qp_);
+  QTensor y = ws_qtensor(ctx.ws, Shape{n, out_}, out_qp_);
   // Dispatched inner product: integer accumulation reorders exactly (no
   // overflow within the INT8xINT8->int64 domain), so the SIMD dot equals
   // the scalar loop bit-for-bit and the bias-first order is preserved.
   const auto dot = kernel::active().ops.dot_i32_i8;
   pooled_for(
-      pool, static_cast<std::size_t>(n),
+      ctx.pool, static_cast<std::size_t>(n),
       [&](std::size_t row) {
         const int i = static_cast<int>(row);
         const std::int32_t* xrow =
@@ -161,15 +157,14 @@ Conv2d::Conv2d(int in_ch, int out_ch, int kernel, int stride, int pad,
   b_ = Tensor::randn(Shape{out_ch_}, rng, 0.02);
 }
 
-Tensor Conv2d::forward_fp(const Tensor& x, ThreadPool* pool,
-                          Workspace* ws) const {
+Tensor Conv2d::forward_fp(const Tensor& x, const ExecContext& ctx) const {
   GQA_EXPECTS(x.shape().rank() == 3 && x.shape()[0] == in_ch_);
   const int h = x.shape()[1];
   const int w = x.shape()[2];
   const int oh = conv_out_size(h, kernel_, stride_, pad_);
   const int ow = conv_out_size(w, kernel_, stride_, pad_);
-  Tensor y = ws_tensor(ws, Shape{out_ch_, oh, ow});
-  pooled_for(pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
+  Tensor y = ws_tensor(ctx.ws, Shape{out_ch_, oh, ow});
+  pooled_for(ctx.pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
     const int oc = static_cast<int>(ch);
     const int ic_lo = depthwise_ ? oc : 0;
     const int ic_hi = depthwise_ ? oc + 1 : in_ch_;
@@ -192,12 +187,7 @@ Tensor Conv2d::forward_fp(const Tensor& x, ThreadPool* pool,
       }
     }
   }, kMinChannelsPerLane);
-  return y;
-}
-
-Tensor Conv2d::calibrate(const Tensor& x) {
-  Tensor y = forward_fp(x);
-  out_obs_.observe(std::span<const float>(y.data()));
+  observe(ctx, out_obs_, y);
   return y;
 }
 
@@ -214,15 +204,14 @@ QuantParams Conv2d::freeze(const QuantParams& in_qp,
   return out_qp_;
 }
 
-QTensor Conv2d::forward_int(const QTensor& x, ThreadPool* pool,
-                            Workspace* ws) const {
+QTensor Conv2d::forward_int(const QTensor& x, const ExecContext& ctx) const {
   GQA_EXPECTS(x.shape().rank() == 3 && x.shape()[0] == in_ch_);
   GQA_EXPECTS_MSG(x.params() == in_qp_, "input params differ from freeze()");
   const int h = x.shape()[1];
   const int w = x.shape()[2];
   const int oh = conv_out_size(h, kernel_, stride_, pad_);
   const int ow = conv_out_size(w, kernel_, stride_, pad_);
-  QTensor y = ws_qtensor(ws, Shape{out_ch_, oh, ow}, out_qp_);
+  QTensor y = ws_qtensor(ctx.ws, Shape{out_ch_, oh, ow}, out_qp_);
   const std::size_t kk = static_cast<std::size_t>(kernel_) * kernel_;
   const std::size_t per_oc = (depthwise_ ? 1 : static_cast<std::size_t>(in_ch_)) * kk;
   const std::size_t pixels = static_cast<std::size_t>(oh) * ow;
@@ -237,8 +226,8 @@ QTensor Conv2d::forward_int(const QTensor& x, ThreadPool* pool,
   if (axpy != nullptr && kernel_ == 1 && stride_ == 1 && pad_ == 0 &&
       !depthwise_) {
     std::vector<std::int64_t> acc_planes =
-        ws_i64(ws, static_cast<std::size_t>(out_ch_) * pixels);
-    pooled_for(pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
+        ws_i64(ctx.ws, static_cast<std::size_t>(out_ch_) * pixels);
+    pooled_for(ctx.pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
       std::int64_t* acc = acc_planes.data() + ch * pixels;
       std::fill_n(acc, pixels, static_cast<std::int64_t>(bq_[ch]));
       for (int ic = 0; ic < in_ch_; ++ic) {
@@ -250,7 +239,7 @@ QTensor Conv2d::forward_int(const QTensor& x, ThreadPool* pool,
         yplane[p] = static_cast<std::int32_t>(rq_.apply(acc[p]));
       }
     }, kMinChannelsPerLane);
-    ws_release(ws, std::move(acc_planes));
+    ws_release(ctx.ws, std::move(acc_planes));
     return y;
   }
   // Every other shape, when the backend has a dot op, runs on a zero-padded
@@ -268,7 +257,7 @@ QTensor Conv2d::forward_int(const QTensor& x, ThreadPool* pool,
     QTensor padded;
     const std::int32_t* src = x.data().data();
     if (pad_ > 0) {
-      padded = ws_qtensor(ws, Shape{in_ch_, hp, wp}, in_qp_);
+      padded = ws_qtensor(ctx.ws, Shape{in_ch_, hp, wp}, in_qp_);
       for (int ic = 0; ic < in_ch_; ++ic) {
         std::int32_t* out = padded.data().data() + ic * padded_plane +
                             static_cast<std::size_t>(pad_) * wp + pad_;
@@ -284,7 +273,7 @@ QTensor Conv2d::forward_int(const QTensor& x, ThreadPool* pool,
              static_cast<std::size_t>(ox) * stride_;
     };
     if (depthwise_) {
-      pooled_for(pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
+      pooled_for(ctx.pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
         const std::int8_t* wk = wq_.data() + ch * kk;
         std::int32_t* yplane = y.data().data() + ch * pixels;
         for (int oy = 0; oy < oh; ++oy) {
@@ -305,7 +294,7 @@ QTensor Conv2d::forward_int(const QTensor& x, ThreadPool* pool,
       }, kMinChannelsPerLane);
     } else {
       QTensor cols = ws_qtensor(
-          ws, Shape{oh * ow, static_cast<int>(per_oc)}, in_qp_);
+          ctx.ws, Shape{oh * ow, static_cast<int>(per_oc)}, in_qp_);
       std::int32_t* col = cols.data().data();
       for (int oy = 0; oy < oh; ++oy) {
         for (int ox = 0; ox < ow; ++ox) {
@@ -318,7 +307,7 @@ QTensor Conv2d::forward_int(const QTensor& x, ThreadPool* pool,
           }
         }
       }
-      pooled_for(pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
+      pooled_for(ctx.pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
         const std::int8_t* wrow = wq_.data() + ch * per_oc;
         const std::int64_t bias = bq_[ch];
         const std::int32_t* row = cols.data().data();
@@ -328,14 +317,14 @@ QTensor Conv2d::forward_int(const QTensor& x, ThreadPool* pool,
               static_cast<std::int32_t>(rq_.apply(bias + dot(row, wrow, per_oc)));
         }
       }, kMinChannelsPerLane);
-      ws_release(ws, std::move(cols));
+      ws_release(ctx.ws, std::move(cols));
     }
-    ws_release(ws, std::move(padded));
+    ws_release(ctx.ws, std::move(padded));
     return y;
   }
   // Scalar oracle (the `scalar` backend): per-tap bounds checks, no
   // padding copy.
-  pooled_for(pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
+  pooled_for(ctx.pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
     const int oc = static_cast<int>(ch);
     const int ic_lo = depthwise_ ? oc : 0;
     const int ic_hi = depthwise_ ? oc + 1 : in_ch_;
@@ -376,12 +365,11 @@ LayerNorm::LayerNorm(int dim, Rng& rng) : dim_(dim) {
   }
 }
 
-Tensor LayerNorm::forward_fp(const Tensor& x, ThreadPool* pool,
-                             Workspace* ws) const {
+Tensor LayerNorm::forward_fp(const Tensor& x, const ExecContext& ctx) const {
   GQA_EXPECTS(x.shape().rank() == 2 && x.shape()[1] == dim_);
   const int n = x.shape()[0];
-  Tensor y = ws_tensor(ws, x.shape());
-  pooled_for(pool, static_cast<std::size_t>(n), [&](std::size_t row) {
+  Tensor y = ws_tensor(ctx.ws, x.shape());
+  pooled_for(ctx.pool, static_cast<std::size_t>(n), [&](std::size_t row) {
     const int i = static_cast<int>(row);
     double mean = 0.0;
     for (int d = 0; d < dim_; ++d) mean += x.at(i, d);
@@ -398,12 +386,7 @@ Tensor LayerNorm::forward_fp(const Tensor& x, ThreadPool* pool,
                                       beta_.at(d));
     }
   }, kMinRowsPerLane);
-  return y;
-}
-
-Tensor LayerNorm::calibrate(const Tensor& x) {
-  Tensor y = forward_fp(x);
-  out_obs_.observe(std::span<const float>(y.data()));
+  observe(ctx, out_obs_, y);
   return y;
 }
 
@@ -416,19 +399,19 @@ QuantParams LayerNorm::freeze(const QuantParams& in_qp,
 }
 
 QTensor LayerNorm::forward_int(const QTensor& x, const NonlinearProvider& nl,
-                               ThreadPool* pool, Workspace* ws) const {
+                               const ExecContext& ctx) const {
   GQA_EXPECTS(x.shape().rank() == 2 && x.shape()[1] == dim_);
   GQA_EXPECTS_MSG(x.params() == in_qp_, "input params differ from freeze()");
   const int n = x.shape()[0];
-  QTensor y = ws_qtensor(ws, x.shape(), out_qp_);
+  QTensor y = ws_qtensor(ctx.ws, x.shape(), out_qp_);
   constexpr int kVarFrac = 8;  ///< fractional bits of the variance bus
   // Pass 1: per-row integer moments and variance bus codes, so every row's
   // RSQRT streams through the multi-range unit in one batched call.
   // Staging vectors come from the workspace (allocated and released on the
   // calling thread, outside the fan-outs).
-  std::vector<std::int64_t> sums = ws_i64(ws, static_cast<std::size_t>(n));
-  std::vector<std::int64_t> w_codes = ws_i64(ws, static_cast<std::size_t>(n));
-  std::vector<std::int64_t> prenorm = ws_i64(ws, static_cast<std::size_t>(n));
+  std::vector<std::int64_t> sums = ws_i64(ctx.ws, static_cast<std::size_t>(n));
+  std::vector<std::int64_t> w_codes = ws_i64(ctx.ws, static_cast<std::size_t>(n));
+  std::vector<std::int64_t> prenorm = ws_i64(ctx.ws, static_cast<std::size_t>(n));
   // Dispatched row moments: the sum is a pure integer reduction (exact in
   // any order); the centered second moment squares c = D·q − Σq in 32-bit
   // lanes, so it is dispatched only when |c| provably fits int32 — i.e.
@@ -442,7 +425,7 @@ QTensor LayerNorm::forward_int(const QTensor& x, const NonlinearProvider& nl,
       std::numeric_limits<std::int32_t>::max()) {
     row_ssq = nullptr;
   }
-  pooled_for(pool, static_cast<std::size_t>(n), [&](std::size_t row) {
+  pooled_for(ctx.pool, static_cast<std::size_t>(n), [&](std::size_t row) {
     const int i = static_cast<int>(row);
     const std::int32_t* xrow =
         x.data().data() + static_cast<std::size_t>(i) * dim_;
@@ -485,10 +468,10 @@ QTensor LayerNorm::forward_int(const QTensor& x, const NonlinearProvider& nl,
         std::max<std::int64_t>(1, shift_round(w_code, 2 * t));
     prenorm[static_cast<std::size_t>(i)] = t;
   }, kMinRowsPerLane);
-  std::vector<double> rsqrts = ws_f64(ws, static_cast<std::size_t>(n));
+  std::vector<double> rsqrts = ws_f64(ctx.ws, static_cast<std::size_t>(n));
   nl.rsqrt_fxp_batch(w_codes, kVarFrac, rsqrts);
   // Pass 2: n_d = c'_d/(D·σ_q); y = γ n + β quantized to the output scale.
-  pooled_for(pool, static_cast<std::size_t>(n), [&](std::size_t row) {
+  pooled_for(ctx.pool, static_cast<std::size_t>(n), [&](std::size_t row) {
     const int i = static_cast<int>(row);
     const std::int64_t sum = sums[static_cast<std::size_t>(i)];
     const double inv_sigma_q = std::ldexp(
@@ -501,22 +484,21 @@ QTensor LayerNorm::forward_int(const QTensor& x, const NonlinearProvider& nl,
       y.at(i, d) = static_cast<std::int32_t>(out_qp_.quantize(val));
     }
   }, kMinRowsPerLane);
-  ws_release(ws, std::move(sums));
-  ws_release(ws, std::move(w_codes));
-  ws_release(ws, std::move(prenorm));
-  ws_release(ws, std::move(rsqrts));
+  ws_release(ctx.ws, std::move(sums));
+  ws_release(ctx.ws, std::move(w_codes));
+  ws_release(ctx.ws, std::move(prenorm));
+  ws_release(ctx.ws, std::move(rsqrts));
   return y;
 }
 
 // -------------------------------------------------------------- Softmax ---
 
-Tensor Softmax::forward_fp(const Tensor& rows, ThreadPool* pool,
-                           Workspace* ws) {
+Tensor Softmax::forward_fp(const Tensor& rows, const ExecContext& ctx) {
   GQA_EXPECTS(rows.shape().rank() == 2);
   const int n = rows.shape()[0];
   const int m = rows.shape()[1];
-  Tensor y = ws_tensor(ws, rows.shape());
-  pooled_for(pool, static_cast<std::size_t>(n), [&](std::size_t row) {
+  Tensor y = ws_tensor(ctx.ws, rows.shape());
+  pooled_for(ctx.pool, static_cast<std::size_t>(n), [&](std::size_t row) {
     const int i = static_cast<int>(row);
     double peak = rows.at(i, 0);
     for (int j = 1; j < m; ++j) peak = std::max<double>(peak, rows.at(i, j));
@@ -532,7 +514,7 @@ Tensor Softmax::forward_fp(const Tensor& rows, ThreadPool* pool,
 }
 
 QTensor Softmax::forward_int(const QTensor& rows, const NonlinearProvider& nl,
-                             ThreadPool* pool, Workspace* ws) {
+                             const ExecContext& ctx) {
   GQA_EXPECTS(rows.shape().rank() == 2);
   GQA_EXPECTS_MSG(rows.params().scale_is_po2(),
                   "Softmax input scale must be a power of two (§3.1)");
@@ -542,7 +524,7 @@ QTensor Softmax::forward_int(const QTensor& rows, const NonlinearProvider& nl,
   const int sx = rows.params().po2_exponent();
   const int n = rows.shape()[0];
   const int m = rows.shape()[1];
-  QTensor y = ws_qtensor(ws, rows.shape(), prob_params());
+  QTensor y = ws_qtensor(ctx.ws, rows.shape(), prob_params());
   // exp outputs are exact multiples of 2^(sx - λ); summing then encoding
   // with frac = λ - sx keeps the DIV input bit-exact.
   const int sum_frac = std::min(40, std::max(8, 12 - sx));
@@ -550,12 +532,12 @@ QTensor Softmax::forward_int(const QTensor& rows, const NonlinearProvider& nl,
   // loop (one allocation pair per chunk, as the serial path always had).
   // Chunks running on pool workers may not touch the workspace, so it is
   // used only when the fan-out is inline.
-  Workspace* lane_ws = inline_ws(pool, ws);
+  const ExecContext lane = ctx.lane();
   pooled_for_chunks(
-      pool, static_cast<std::size_t>(n), [&](std::size_t lo, std::size_t hi) {
+      ctx.pool, static_cast<std::size_t>(n), [&](std::size_t lo, std::size_t hi) {
         std::vector<std::int64_t> diffs =
-            ws_i64(lane_ws, static_cast<std::size_t>(m));
-        std::vector<double> exps = ws_f64(lane_ws, static_cast<std::size_t>(m));
+            ws_i64(lane.ws, static_cast<std::size_t>(m));
+        std::vector<double> exps = ws_f64(lane.ws, static_cast<std::size_t>(m));
         // Dispatched row peak (max is order-free) and max-subtracted
         // widening; the exp sum below is a float reduction and must stay
         // scalar (FP addition is not associative).
@@ -592,8 +574,8 @@ QTensor Softmax::forward_int(const QTensor& rows, const NonlinearProvider& nl,
             y.at(i, j) = static_cast<std::int32_t>(prob_params().quantize(p));
           }
         }
-        ws_release(lane_ws, std::move(diffs));
-        ws_release(lane_ws, std::move(exps));
+        ws_release(lane.ws, std::move(diffs));
+        ws_release(lane.ws, std::move(exps));
       },
       kMinRowsPerLane);
   return y;
@@ -601,11 +583,10 @@ QTensor Softmax::forward_int(const QTensor& rows, const NonlinearProvider& nl,
 
 // ----------------------------------------------------------- Activation ---
 
-Tensor Activation::forward_fp(const Tensor& x, ThreadPool* pool,
-                              Workspace* ws) const {
-  Tensor y = ws_tensor(ws, x.shape());
+Tensor Activation::forward_fp(const Tensor& x, const ExecContext& ctx) const {
+  Tensor y = ws_tensor(ctx.ws, x.shape());
   // Elementwise op: any contiguous split is exact.
-  pooled_for_chunks(pool, x.data().size(),
+  pooled_for_chunks(ctx.pool, x.data().size(),
                     [&](std::size_t lo, std::size_t hi) {
                       for (std::size_t i = lo; i < hi; ++i) {
                         y.data()[i] = static_cast<float>(
@@ -613,12 +594,7 @@ Tensor Activation::forward_fp(const Tensor& x, ThreadPool* pool,
                       }
                     },
                     kMinElemsPerLane);
-  return y;
-}
-
-Tensor Activation::calibrate(const Tensor& x) {
-  Tensor y = forward_fp(x);
-  out_obs_.observe(std::span<const float>(y.data()));
+  observe(ctx, out_obs_, y);
   return y;
 }
 
@@ -633,19 +609,19 @@ QuantParams Activation::freeze(const QuantParams& in_qp,
 }
 
 QTensor Activation::forward_int(const QTensor& x, const NonlinearProvider& nl,
-                                ThreadPool* pool, Workspace* ws) const {
+                                const ExecContext& ctx) const {
   GQA_EXPECTS_MSG(x.params() == in_qp_, "input params differ from freeze()");
   const int sx = x.params().po2_exponent();
-  QTensor y = ws_qtensor(ws, x.shape(), out_qp_);
+  QTensor y = ws_qtensor(ctx.ws, x.shape(), out_qp_);
   // Batched activation threaded over contiguous slabs: each slab streams
   // through the dense segment table in one span call (batched ==
   // per-element bit-identical, so any split is exact). The staging buffers
   // are allocated before the fan-out on the calling thread; workers only
   // write disjoint ranges of them.
   const std::size_t count = x.data().size();
-  std::vector<std::int64_t> codes = ws_i64(ws, count);
-  std::vector<double> vals = ws_f64(ws, count);
-  pooled_for_chunks(pool, count, [&](std::size_t lo, std::size_t hi) {
+  std::vector<std::int64_t> codes = ws_i64(ctx.ws, count);
+  std::vector<double> vals = ws_f64(ctx.ws, count);
+  pooled_for_chunks(ctx.pool, count, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) codes[i] = x.data()[i];
     const std::span<const std::int64_t> in(codes.data() + lo, hi - lo);
     const std::span<double> out(vals.data() + lo, hi - lo);
@@ -658,30 +634,25 @@ QTensor Activation::forward_int(const QTensor& x, const NonlinearProvider& nl,
       y.data()[i] = static_cast<std::int32_t>(out_qp_.quantize(vals[i]));
     }
   }, kMinElemsPerLane);
-  ws_release(ws, std::move(codes));
-  ws_release(ws, std::move(vals));
+  ws_release(ctx.ws, std::move(codes));
+  ws_release(ctx.ws, std::move(vals));
   return y;
 }
 
 // ---------------------------------------------------------- ResidualAdd ---
 
 Tensor ResidualAdd::forward_fp(const Tensor& a, const Tensor& b,
-                               ThreadPool* pool, Workspace* ws) const {
+                               const ExecContext& ctx) const {
   GQA_EXPECTS(a.shape() == b.shape());
-  Tensor y = ws_tensor(ws, a.shape());
-  pooled_for_chunks(pool, a.data().size(),
+  Tensor y = ws_tensor(ctx.ws, a.shape());
+  pooled_for_chunks(ctx.pool, a.data().size(),
                     [&](std::size_t lo, std::size_t hi) {
                       for (std::size_t i = lo; i < hi; ++i) {
                         y.data()[i] = a.data()[i] + b.data()[i];
                       }
                     },
                     kMinElemsPerLane);
-  return y;
-}
-
-Tensor ResidualAdd::calibrate(const Tensor& a, const Tensor& b) {
-  Tensor y = forward_fp(a, b);
-  out_obs_.observe(std::span<const float>(y.data()));
+  observe(ctx, out_obs_, y);
   return y;
 }
 
@@ -698,15 +669,15 @@ QuantParams ResidualAdd::freeze(const QuantParams& a_qp,
 }
 
 QTensor ResidualAdd::forward_int(const QTensor& a, const QTensor& b,
-                                 ThreadPool* pool, Workspace* ws) const {
+                                 const ExecContext& ctx) const {
   GQA_EXPECTS(a.shape() == b.shape());
   GQA_EXPECTS_MSG(a.params() == a_qp_,
                   "first operand params differ from freeze()");
   GQA_EXPECTS_MSG(b.params() == b_qp_,
                   "second operand params differ from freeze()");
-  QTensor y = ws_qtensor(ws, a.shape(), out_qp_);
+  QTensor y = ws_qtensor(ctx.ws, a.shape(), out_qp_);
   pooled_for_chunks(
-      pool, a.data().size(),
+      ctx.pool, a.data().size(),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           const std::int64_t v =
@@ -740,7 +711,7 @@ namespace {
 
 /// Head-sliced score computation: scores[i,j] = q_i · k_j / sqrt(dh).
 Tensor head_scores(const Tensor& q, const Tensor& k, int head, int dh,
-                   Workspace* ws = nullptr) {
+                   Workspace* ws) {
   const int n = q.shape()[0];
   const int m = k.shape()[0];
   const double inv = 1.0 / std::sqrt(static_cast<double>(dh));
@@ -760,77 +731,51 @@ Tensor head_scores(const Tensor& q, const Tensor& k, int head, int dh,
 }  // namespace
 
 Tensor AttentionSR::forward_fp(const Tensor& tokens, int h, int w,
-                               ThreadPool* pool, Workspace* ws) const {
-  Tensor q = q_lin_.forward_fp(tokens, pool, ws);
+                               const ExecContext& ctx) const {
+  Tensor q = q_lin_.forward_fp(tokens, ctx);
   Tensor reduced;
   const Tensor* kv_src = &tokens;
   if (sr_conv_) {
-    Tensor map = from_tokens(tokens, h, w, ws);
-    Tensor conv = sr_conv_->forward_fp(map, pool, ws);
-    ws_release(ws, std::move(map));
-    reduced = to_tokens(conv, ws);
-    ws_release(ws, std::move(conv));
+    Tensor map = from_tokens(tokens, h, w, ctx.ws);
+    Tensor conv = sr_conv_->forward_fp(map, ctx);
+    ws_release(ctx.ws, std::move(map));
+    reduced = to_tokens(conv, ctx.ws);
+    ws_release(ctx.ws, std::move(conv));
     kv_src = &reduced;
   }
-  Tensor k = k_lin_.forward_fp(*kv_src, pool, ws);
-  Tensor v = v_lin_.forward_fp(*kv_src, pool, ws);
-  if (sr_conv_) ws_release(ws, std::move(reduced));
+  Tensor k = k_lin_.forward_fp(*kv_src, ctx);
+  Tensor v = v_lin_.forward_fp(*kv_src, ctx);
+  if (sr_conv_) ws_release(ctx.ws, std::move(reduced));
   const int n = tokens.shape()[0];
   const int dh = dim_ / heads_;
-  Tensor ctx = ws_tensor(ws, Shape{n, dim_});
-  // Heads are independent and write disjoint ctx columns; the per-head work
-  // runs serially inside each lane (parallel_for is not reentrant). The
-  // workspace backs per-head scratch only when the fan-out is inline.
-  Workspace* lane_ws = inline_ws(pool, ws);
-  pooled_for(pool, static_cast<std::size_t>(heads_), [&](std::size_t hd) {
+  Tensor attn = ws_tensor(ctx.ws, Shape{n, dim_});
+  // Heads are independent and write disjoint attn columns; the per-head
+  // work runs serially inside each lane (parallel_for is not reentrant).
+  // The workspace backs per-head scratch only when the fan-out is inline.
+  const ExecContext lane = ctx.lane();
+  pooled_for(ctx.pool, static_cast<std::size_t>(heads_), [&](std::size_t hd) {
     const int head = static_cast<int>(hd);
-    Tensor scores = head_scores(q, k, head, dh, lane_ws);
-    Tensor probs = Softmax::forward_fp(scores, nullptr, lane_ws);
-    ws_release(lane_ws, std::move(scores));
+    Tensor scores = head_scores(q, k, head, dh, lane.ws);
+    observe(lane, score_obs_, scores);
+    Tensor probs = Softmax::forward_fp(scores, lane);
+    ws_release(lane.ws, std::move(scores));
     const int m = probs.shape()[1];
     for (int i = 0; i < n; ++i) {
       for (int d = 0; d < dh; ++d) {
         double acc = 0.0;
         for (int j = 0; j < m; ++j) acc += probs.at(i, j) * v.at(j, head * dh + d);
-        ctx.at(i, head * dh + d) = static_cast<float>(acc);
+        attn.at(i, head * dh + d) = static_cast<float>(acc);
       }
     }
-    ws_release(lane_ws, std::move(probs));
+    ws_release(lane.ws, std::move(probs));
   });
-  ws_release(ws, std::move(q));
-  ws_release(ws, std::move(k));
-  ws_release(ws, std::move(v));
-  Tensor out = proj_.forward_fp(ctx, pool, ws);
-  ws_release(ws, std::move(ctx));
+  observe(ctx, attn_obs_, attn);
+  ws_release(ctx.ws, std::move(q));
+  ws_release(ctx.ws, std::move(k));
+  ws_release(ctx.ws, std::move(v));
+  Tensor out = proj_.forward_fp(attn, ctx);
+  ws_release(ctx.ws, std::move(attn));
   return out;
-}
-
-Tensor AttentionSR::calibrate(const Tensor& tokens, int h, int w) {
-  const Tensor q = q_lin_.calibrate(tokens);
-  Tensor kv_src = tokens;
-  if (sr_conv_) {
-    kv_src = to_tokens(sr_conv_->calibrate(from_tokens(tokens, h, w)));
-  }
-  const Tensor k = k_lin_.calibrate(kv_src);
-  const Tensor v = v_lin_.calibrate(kv_src);
-  const int n = tokens.shape()[0];
-  const int dh = dim_ / heads_;
-  Tensor ctx(Shape{n, dim_});
-  for (int head = 0; head < heads_; ++head) {
-    Tensor scores = head_scores(q, k, head, dh);
-    score_obs_.observe(std::span<const float>(scores.data()));
-    const Tensor probs = Softmax::forward_fp(scores);
-    const int m = probs.shape()[1];
-    for (int i = 0; i < n; ++i) {
-      for (int d = 0; d < dh; ++d) {
-        double acc = 0.0;
-        for (int j = 0; j < m; ++j) acc += probs.at(i, j) * v.at(j, head * dh + d);
-        ctx.at(i, head * dh + d) = static_cast<float>(acc);
-      }
-    }
-  }
-  attn_obs_.observe(std::span<const float>(ctx.data()));
-  return proj_.calibrate(ctx);
 }
 
 QuantParams AttentionSR::freeze(const QuantParams& in_qp,
@@ -855,34 +800,34 @@ QuantParams AttentionSR::freeze(const QuantParams& in_qp,
 
 QTensor AttentionSR::forward_int(const QTensor& tokens, int h, int w,
                                  const NonlinearProvider& nl,
-                                 ThreadPool* pool, Workspace* ws) const {
-  QTensor q = q_lin_.forward_int(tokens, pool, ws);
+                                 const ExecContext& ctx) const {
+  QTensor q = q_lin_.forward_int(tokens, ctx);
   QTensor reduced;
   const QTensor* kv_src = &tokens;
   if (sr_conv_) {
-    QTensor map = from_tokens(tokens, h, w, ws);
-    QTensor conv = sr_conv_->forward_int(map, pool, ws);
-    ws_release(ws, std::move(map));
-    reduced = to_tokens(conv, ws);
-    ws_release(ws, std::move(conv));
+    QTensor map = from_tokens(tokens, h, w, ctx.ws);
+    QTensor conv = sr_conv_->forward_int(map, ctx);
+    ws_release(ctx.ws, std::move(map));
+    reduced = to_tokens(conv, ctx.ws);
+    ws_release(ctx.ws, std::move(conv));
     kv_src = &reduced;
   }
-  QTensor k = k_lin_.forward_int(*kv_src, pool, ws);
-  QTensor v = v_lin_.forward_int(*kv_src, pool, ws);
+  QTensor k = k_lin_.forward_int(*kv_src, ctx);
+  QTensor v = v_lin_.forward_int(*kv_src, ctx);
   const int n = tokens.shape()[0];
   const int m = kv_src->shape()[0];
   const int dh = dim_ / heads_;
-  if (sr_conv_) ws_release(ws, std::move(reduced));
-  QTensor ctx = ws_qtensor(ws, Shape{n, dim_}, attn_qp_);
+  if (sr_conv_) ws_release(ctx.ws, std::move(reduced));
+  QTensor attn = ws_qtensor(ctx.ws, Shape{n, dim_}, attn_qp_);
   // Heads fan out across the pool: each lane owns its scores/probs buffers
-  // and writes a disjoint ctx column block, with the provider's EXP/DIV
+  // and writes a disjoint attn column block, with the provider's EXP/DIV
   // units shared concurrently (the caches are thread-safe). The workspace
   // backs per-head scratch only when the fan-out is inline.
-  Workspace* lane_ws = inline_ws(pool, ws);
-  pooled_for(pool, static_cast<std::size_t>(heads_), [&](std::size_t hd) {
+  const ExecContext lane = ctx.lane();
+  pooled_for(ctx.pool, static_cast<std::size_t>(heads_), [&](std::size_t hd) {
     const int head = static_cast<int>(hd);
     // Integer scores + requant to the po2 Softmax input scale.
-    QTensor scores = ws_qtensor(lane_ws, Shape{n, m}, score_qp_);
+    QTensor scores = ws_qtensor(lane.ws, Shape{n, m}, score_qp_);
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < m; ++j) {
         std::int64_t acc = 0;
@@ -893,8 +838,8 @@ QTensor AttentionSR::forward_int(const QTensor& tokens, int h, int w,
         scores.at(i, j) = static_cast<std::int32_t>(rq_score_.apply(acc));
       }
     }
-    QTensor probs = Softmax::forward_int(scores, nl, nullptr, lane_ws);
-    ws_release(lane_ws, std::move(scores));
+    QTensor probs = Softmax::forward_int(scores, nl, lane);
+    ws_release(lane.ws, std::move(scores));
     for (int i = 0; i < n; ++i) {
       for (int d = 0; d < dh; ++d) {
         std::int64_t acc = 0;
@@ -902,16 +847,16 @@ QTensor AttentionSR::forward_int(const QTensor& tokens, int h, int w,
           acc += static_cast<std::int64_t>(probs.at(i, j)) *
                  v.at(j, head * dh + d);
         }
-        ctx.at(i, head * dh + d) = static_cast<std::int32_t>(rq_attn_.apply(acc));
+        attn.at(i, head * dh + d) = static_cast<std::int32_t>(rq_attn_.apply(acc));
       }
     }
-    ws_release(lane_ws, std::move(probs));
+    ws_release(lane.ws, std::move(probs));
   });
-  ws_release(ws, std::move(q));
-  ws_release(ws, std::move(k));
-  ws_release(ws, std::move(v));
-  QTensor out = proj_.forward_int(ctx, pool, ws);
-  ws_release(ws, std::move(ctx));
+  ws_release(ctx.ws, std::move(q));
+  ws_release(ctx.ws, std::move(k));
+  ws_release(ctx.ws, std::move(v));
+  QTensor out = proj_.forward_int(attn, ctx);
+  ws_release(ctx.ws, std::move(attn));
   return out;
 }
 
@@ -930,16 +875,16 @@ double relu(double x) { return x > 0.0 ? x : 0.0; }
 
 }  // namespace
 
-Tensor LinearAttention::forward_fp(const Tensor& tokens, ThreadPool* pool,
-                                   Workspace* ws) const {
-  Tensor q = q_lin_.forward_fp(tokens, pool, ws);
-  Tensor k = k_lin_.forward_fp(tokens, pool, ws);
-  Tensor v = v_lin_.forward_fp(tokens, pool, ws);
+Tensor LinearAttention::forward_fp(const Tensor& tokens,
+                                   const ExecContext& ctx) const {
+  Tensor q = q_lin_.forward_fp(tokens, ctx);
+  Tensor k = k_lin_.forward_fp(tokens, ctx);
+  Tensor v = v_lin_.forward_fp(tokens, ctx);
   const int n = tokens.shape()[0];
   // kv[c][d] = Σ_n relu(k)·v ; z[c] = Σ_n relu(k). The token reduction is
   // order-sensitive, so it stays serial; rows below are independent.
-  Tensor kv = ws_tensor(ws, Shape{dim_, dim_});
-  Tensor z = ws_tensor(ws, Shape{dim_});
+  Tensor kv = ws_tensor(ctx.ws, Shape{dim_, dim_});
+  Tensor z = ws_tensor(ctx.ws, Shape{dim_});
   for (int j = 0; j < n; ++j) {
     for (int c = 0; c < dim_; ++c) {
       const double kc = relu(k.at(j, c));
@@ -948,11 +893,12 @@ Tensor LinearAttention::forward_fp(const Tensor& tokens, ThreadPool* pool,
       for (int d = 0; d < dim_; ++d) kv.at(c, d) += static_cast<float>(kc * v.at(j, d));
     }
   }
-  Tensor out = ws_tensor(ws, Shape{n, dim_});
-  pooled_for(pool, static_cast<std::size_t>(n), [&](std::size_t row) {
+  Tensor out = ws_tensor(ctx.ws, Shape{n, dim_});
+  pooled_for(ctx.pool, static_cast<std::size_t>(n), [&](std::size_t row) {
     const int i = static_cast<int>(row);
     double den = 1e-6;
     for (int c = 0; c < dim_; ++c) den += relu(q.at(i, c)) * z.at(c);
+    if (ctx.calibrating) den_obs_.observe(den);
     const double inv = 1.0 / den;
     for (int d = 0; d < dim_; ++d) {
       double num = 0.0;
@@ -960,45 +906,15 @@ Tensor LinearAttention::forward_fp(const Tensor& tokens, ThreadPool* pool,
       out.at(i, d) = static_cast<float>(num * inv);
     }
   }, kMinRowsPerLane);
-  ws_release(ws, std::move(q));
-  ws_release(ws, std::move(k));
-  ws_release(ws, std::move(v));
-  ws_release(ws, std::move(kv));
-  ws_release(ws, std::move(z));
-  Tensor y = proj_.forward_fp(out, pool, ws);
-  ws_release(ws, std::move(out));
+  observe(ctx, out_obs_, out);
+  ws_release(ctx.ws, std::move(q));
+  ws_release(ctx.ws, std::move(k));
+  ws_release(ctx.ws, std::move(v));
+  ws_release(ctx.ws, std::move(kv));
+  ws_release(ctx.ws, std::move(z));
+  Tensor y = proj_.forward_fp(out, ctx);
+  ws_release(ctx.ws, std::move(out));
   return y;
-}
-
-Tensor LinearAttention::calibrate(const Tensor& tokens) {
-  const Tensor q = q_lin_.calibrate(tokens);
-  const Tensor k = k_lin_.calibrate(tokens);
-  const Tensor v = v_lin_.calibrate(tokens);
-  const int n = tokens.shape()[0];
-  Tensor kv(Shape{dim_, dim_});
-  Tensor z(Shape{dim_});
-  for (int j = 0; j < n; ++j) {
-    for (int c = 0; c < dim_; ++c) {
-      const double kc = relu(k.at(j, c));
-      if (kc == 0.0) continue;
-      z.at(c) += static_cast<float>(kc);
-      for (int d = 0; d < dim_; ++d) kv.at(c, d) += static_cast<float>(kc * v.at(j, d));
-    }
-  }
-  Tensor out(Shape{n, dim_});
-  for (int i = 0; i < n; ++i) {
-    double den = 1e-6;
-    for (int c = 0; c < dim_; ++c) den += relu(q.at(i, c)) * z.at(c);
-    den_obs_.observe(den);
-    const double inv = 1.0 / den;
-    for (int d = 0; d < dim_; ++d) {
-      double num = 0.0;
-      for (int c = 0; c < dim_; ++c) num += relu(q.at(i, c)) * kv.at(c, d);
-      out.at(i, d) = static_cast<float>(num * inv);
-    }
-  }
-  out_obs_.observe(std::span<const float>(out.data()));
-  return proj_.calibrate(out);
 }
 
 QuantParams LinearAttention::freeze(const QuantParams& in_qp,
@@ -1017,18 +933,18 @@ QuantParams LinearAttention::freeze(const QuantParams& in_qp,
 
 QTensor LinearAttention::forward_int(const QTensor& tokens,
                                      const NonlinearProvider& nl,
-                                     ThreadPool* pool, Workspace* ws) const {
-  QTensor q = q_lin_.forward_int(tokens, pool, ws);
-  QTensor k = k_lin_.forward_int(tokens, pool, ws);
-  QTensor v = v_lin_.forward_int(tokens, pool, ws);
+                                     const ExecContext& ctx) const {
+  QTensor q = q_lin_.forward_int(tokens, ctx);
+  QTensor k = k_lin_.forward_int(tokens, ctx);
+  QTensor v = v_lin_.forward_int(tokens, ctx);
   const int n = tokens.shape()[0];
   const double sq = q.params().scale;
   const double sk = k.params().scale;
   const double sv = v.params().scale;
 
   // Integer relu is a clamp at zero (symmetric scales preserve zero).
-  std::vector<std::int64_t> kv = ws_i64(ws, static_cast<std::size_t>(dim_) * dim_);
-  std::vector<std::int64_t> z = ws_i64(ws, static_cast<std::size_t>(dim_));
+  std::vector<std::int64_t> kv = ws_i64(ctx.ws, static_cast<std::size_t>(dim_) * dim_);
+  std::vector<std::int64_t> z = ws_i64(ctx.ws, static_cast<std::size_t>(dim_));
   for (int j = 0; j < n; ++j) {
     for (int c = 0; c < dim_; ++c) {
       const std::int64_t kc = std::max<std::int64_t>(0, k.at(j, c));
@@ -1041,8 +957,8 @@ QTensor LinearAttention::forward_int(const QTensor& tokens,
   }
 
   constexpr int kDenFrac = 16;
-  QTensor out = ws_qtensor(ws, Shape{n, dim_}, out_qp_);
-  pooled_for(pool, static_cast<std::size_t>(n), [&](std::size_t row) {
+  QTensor out = ws_qtensor(ctx.ws, Shape{n, dim_}, out_qp_);
+  pooled_for(ctx.pool, static_cast<std::size_t>(n), [&](std::size_t row) {
     const int i = static_cast<int>(row);
     std::int64_t den_acc = 0;
     for (int c = 0; c < dim_; ++c) {
@@ -1066,13 +982,13 @@ QTensor LinearAttention::forward_int(const QTensor& tokens,
       out.at(i, d) = static_cast<std::int32_t>(out_qp_.quantize(value));
     }
   }, kMinRowsPerLane);
-  ws_release(ws, std::move(q));
-  ws_release(ws, std::move(k));
-  ws_release(ws, std::move(v));
-  ws_release(ws, std::move(kv));
-  ws_release(ws, std::move(z));
-  QTensor y = proj_.forward_int(out, pool, ws);
-  ws_release(ws, std::move(out));
+  ws_release(ctx.ws, std::move(q));
+  ws_release(ctx.ws, std::move(k));
+  ws_release(ctx.ws, std::move(v));
+  ws_release(ctx.ws, std::move(kv));
+  ws_release(ctx.ws, std::move(z));
+  QTensor y = proj_.forward_int(out, ctx);
+  ws_release(ctx.ws, std::move(out));
   return y;
 }
 
@@ -1087,26 +1003,19 @@ MixFfn::MixFfn(int dim, int hidden, Rng& rng)
 }
 
 Tensor MixFfn::forward_fp(const Tensor& tokens, int h, int w,
-                          ThreadPool* pool, Workspace* ws) const {
-  Tensor x = fc1_.forward_fp(tokens, pool, ws);
-  Tensor map = from_tokens(x, h, w, ws);
-  ws_release(ws, std::move(x));
-  Tensor conv = dw_.forward_fp(map, pool, ws);
-  ws_release(ws, std::move(map));
-  Tensor tok = to_tokens(conv, ws);
-  ws_release(ws, std::move(conv));
-  Tensor act = act_.forward_fp(tok, pool, ws);
-  ws_release(ws, std::move(tok));
-  Tensor y = fc2_.forward_fp(act, pool, ws);
-  ws_release(ws, std::move(act));
+                          const ExecContext& ctx) const {
+  Tensor x = fc1_.forward_fp(tokens, ctx);
+  Tensor map = from_tokens(x, h, w, ctx.ws);
+  ws_release(ctx.ws, std::move(x));
+  Tensor conv = dw_.forward_fp(map, ctx);
+  ws_release(ctx.ws, std::move(map));
+  Tensor tok = to_tokens(conv, ctx.ws);
+  ws_release(ctx.ws, std::move(conv));
+  Tensor act = act_.forward_fp(tok, ctx);
+  ws_release(ctx.ws, std::move(tok));
+  Tensor y = fc2_.forward_fp(act, ctx);
+  ws_release(ctx.ws, std::move(act));
   return y;
-}
-
-Tensor MixFfn::calibrate(const Tensor& tokens, int h, int w) {
-  Tensor x = fc1_.calibrate(tokens);
-  x = to_tokens(dw_.calibrate(from_tokens(x, h, w)));
-  x = act_.calibrate(x);
-  return fc2_.calibrate(x);
 }
 
 QuantParams MixFfn::freeze(const QuantParams& in_qp,
@@ -1119,18 +1028,18 @@ QuantParams MixFfn::freeze(const QuantParams& in_qp,
 
 QTensor MixFfn::forward_int(const QTensor& tokens, int h, int w,
                             const NonlinearProvider& nl,
-                            ThreadPool* pool, Workspace* ws) const {
-  QTensor x = fc1_.forward_int(tokens, pool, ws);
-  QTensor map = from_tokens(x, h, w, ws);
-  ws_release(ws, std::move(x));
-  QTensor conv = dw_.forward_int(map, pool, ws);
-  ws_release(ws, std::move(map));
-  QTensor tok = to_tokens(conv, ws);
-  ws_release(ws, std::move(conv));
-  QTensor act = act_.forward_int(tok, nl, pool, ws);
-  ws_release(ws, std::move(tok));
-  QTensor y = fc2_.forward_int(act, pool, ws);
-  ws_release(ws, std::move(act));
+                            const ExecContext& ctx) const {
+  QTensor x = fc1_.forward_int(tokens, ctx);
+  QTensor map = from_tokens(x, h, w, ctx.ws);
+  ws_release(ctx.ws, std::move(x));
+  QTensor conv = dw_.forward_int(map, ctx);
+  ws_release(ctx.ws, std::move(map));
+  QTensor tok = to_tokens(conv, ctx.ws);
+  ws_release(ctx.ws, std::move(conv));
+  QTensor act = act_.forward_int(tok, nl, ctx);
+  ws_release(ctx.ws, std::move(tok));
+  QTensor y = fc2_.forward_int(act, ctx);
+  ws_release(ctx.ws, std::move(act));
   return y;
 }
 
@@ -1147,28 +1056,20 @@ MbConv::MbConv(int in_ch, int out_ch, int expand, int stride, Rng& rng)
   dw_.set_po2_output(true);
 }
 
-Tensor MbConv::forward_fp(const Tensor& x, ThreadPool* pool,
-                          Workspace* ws) const {
-  Tensor t = expand_.forward_fp(x, pool, ws);
-  Tensor y = act1_.forward_fp(t, pool, ws);
-  ws_release(ws, std::move(t));
-  t = dw_.forward_fp(y, pool, ws);
-  ws_release(ws, std::move(y));
-  y = act2_.forward_fp(t, pool, ws);
-  ws_release(ws, std::move(t));
-  t = project_.forward_fp(y, pool, ws);
-  ws_release(ws, std::move(y));
+Tensor MbConv::forward_fp(const Tensor& x, const ExecContext& ctx) const {
+  Tensor t = expand_.forward_fp(x, ctx);
+  Tensor y = act1_.forward_fp(t, ctx);
+  ws_release(ctx.ws, std::move(t));
+  t = dw_.forward_fp(y, ctx);
+  ws_release(ctx.ws, std::move(y));
+  y = act2_.forward_fp(t, ctx);
+  ws_release(ctx.ws, std::move(t));
+  t = project_.forward_fp(y, ctx);
+  ws_release(ctx.ws, std::move(y));
   if (!residual_) return t;
-  Tensor out = add_.forward_fp(t, x, pool, ws);
-  ws_release(ws, std::move(t));
+  Tensor out = add_.forward_fp(t, x, ctx);
+  ws_release(ctx.ws, std::move(t));
   return out;
-}
-
-Tensor MbConv::calibrate(const Tensor& x) {
-  Tensor y = act1_.calibrate(expand_.calibrate(x));
-  y = act2_.calibrate(dw_.calibrate(y));
-  y = project_.calibrate(y);
-  return residual_ ? add_.calibrate(y, x) : y;
 }
 
 QuantParams MbConv::freeze(const QuantParams& in_qp,
@@ -1182,19 +1083,19 @@ QuantParams MbConv::freeze(const QuantParams& in_qp,
 }
 
 QTensor MbConv::forward_int(const QTensor& x, const NonlinearProvider& nl,
-                            ThreadPool* pool, Workspace* ws) const {
-  QTensor t = expand_.forward_int(x, pool, ws);
-  QTensor y = act1_.forward_int(t, nl, pool, ws);
-  ws_release(ws, std::move(t));
-  t = dw_.forward_int(y, pool, ws);
-  ws_release(ws, std::move(y));
-  y = act2_.forward_int(t, nl, pool, ws);
-  ws_release(ws, std::move(t));
-  t = project_.forward_int(y, pool, ws);
-  ws_release(ws, std::move(y));
+                            const ExecContext& ctx) const {
+  QTensor t = expand_.forward_int(x, ctx);
+  QTensor y = act1_.forward_int(t, nl, ctx);
+  ws_release(ctx.ws, std::move(t));
+  t = dw_.forward_int(y, ctx);
+  ws_release(ctx.ws, std::move(y));
+  y = act2_.forward_int(t, nl, ctx);
+  ws_release(ctx.ws, std::move(t));
+  t = project_.forward_int(y, ctx);
+  ws_release(ctx.ws, std::move(y));
   if (!residual_) return t;
-  QTensor out = add_.forward_int(t, x, pool, ws);
-  ws_release(ws, std::move(t));
+  QTensor out = add_.forward_int(t, x, ctx);
+  ws_release(ctx.ws, std::move(t));
   return out;
 }
 

@@ -1,29 +1,20 @@
 // Transformer building blocks with dual execution paths:
-//   forward_fp  — float reference (also the calibration path)
+//   forward_fp  — float reference; a calibrating forward also records the
+//                 activation ranges freeze() turns into quantization params
 //   forward_int — integer-only inference following the dyadic pipeline
 //                 (INT8 activation codes, INT32/64 accumulators, dyadic
 //                 requantization), with non-linear ops served by a
 //                 NonlinearProvider (exact or bit-accurate pwl kernels).
 //
-// Lifecycle: construct (random weights) -> calibrate(...) on sample inputs
-// (runs the fp path, recording activation ranges) -> freeze(in_qp) (builds
-// integer weights/requantizers, returns the output QuantParams) ->
-// forward_int(...).
+// Lifecycle: construct (random weights) -> forward_fp(x, {.calibrating =
+// true}) on sample inputs (records activation ranges) -> freeze(in_qp)
+// (builds integer weights/requantizers, returns the output QuantParams) ->
+// forward_int(...). Calibration is the float forward itself, so the ranges
+// are observed on exactly the dataflow the reference computes.
 //
-// Every forward takes an optional ThreadPool*: nullptr (the default) runs
-// serially, a pool fans the work out over rows / output channels / heads.
-// Each parallel index writes disjoint output slots with the serial
-// reduction order preserved inside it, so threaded results are
-// bit-identical to serial at any thread count. Calibration stays serial
-// (range observers are order-sensitive state).
-//
-// Every forward also takes an optional Workspace*: layer outputs and
-// staging buffers then come from (and return to) reusable pooled storage,
-// so a serving loop stops re-mallocing every intermediate per image.
-// Results are bit-identical with or without a workspace. The workspace is
-// only ever touched by the calling thread (one workspace per thread, never
-// shared — see workspace.h); fan-out lambdas that run on pool workers use
-// it only when the fan-out is inline (null/single-lane pool).
+// Every forward takes one ExecContext carrying the execution state (pool,
+// workspace, calibrating flag) down the module tree unchanged; see its
+// comment for the threading, workspace and calibration rules.
 //
 // Row/channel fan-outs carry a granularity floor (pooled_for min_per_lane):
 // when a tensor is too small for the per-task work to amortize dispatch,
@@ -52,6 +43,39 @@ struct QuantPolicy {
   int act_bits = 8;
 };
 
+/// Execution state of one forward, passed unchanged through every module.
+///
+/// `pool`: nullptr (the default) runs serially; a pool fans the work out
+/// over rows / output channels / heads. Each parallel index writes disjoint
+/// output slots with the serial reduction order preserved inside it, so
+/// threaded results are bit-identical to serial at any thread count.
+///
+/// `ws`: layer outputs and staging buffers come from (and return to)
+/// reusable pooled storage, so a serving loop stops re-mallocing every
+/// intermediate per image. Results are bit-identical with or without one.
+/// A workspace is only ever touched by its calling thread (one per thread,
+/// never shared — see workspace.h); fan-out bodies take lane().
+///
+/// `calibrating`: forward_fp also records activation ranges into the
+/// modules' observers. Observers are unsynchronised, so a calibrating
+/// forward rejects a multi-lane pool, and a plain forward never writes
+/// them — concurrent forwards on one frozen model stay race-free.
+struct ExecContext {
+  ThreadPool* pool = nullptr;
+  Workspace* ws = nullptr;
+  bool calibrating = false;
+
+  /// True when pooled fan-outs run inline on the calling thread.
+  [[nodiscard]] bool serial() const {
+    return pool == nullptr || pool->size() <= 1;
+  }
+  /// Context for a fan-out body: pool-free (parallel_for is not
+  /// reentrant), keeping the workspace only when the body runs inline.
+  [[nodiscard]] ExecContext lane() const {
+    return {nullptr, serial() ? ws : nullptr, calibrating};
+  }
+};
+
 // ---------------------------------------------------------------------------
 
 class Linear {
@@ -60,13 +84,10 @@ class Linear {
 
   // {N,in}->{N,out}; threads over rows.
   [[nodiscard]] Tensor forward_fp(const Tensor& x,
-                                  ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
-  Tensor calibrate(const Tensor& x);
+                                  const ExecContext& ctx = {}) const;
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
   [[nodiscard]] QTensor forward_int(const QTensor& x,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    const ExecContext& ctx = {}) const;
 
   [[nodiscard]] int in_features() const { return in_; }
   [[nodiscard]] int out_features() const { return out_; }
@@ -82,7 +103,7 @@ class Linear {
   bool po2_out_ = false;
   Tensor w_;  ///< {out, in}
   Tensor b_;  ///< {out}
-  RangeObserver out_obs_;
+  mutable RangeObserver out_obs_;
   std::vector<std::int8_t> wq_;
   std::vector<std::int32_t> bq_;
   double w_scale_ = 0.0;
@@ -99,13 +120,10 @@ class Conv2d {
 
   // {C,H,W}; threads over output channels.
   [[nodiscard]] Tensor forward_fp(const Tensor& x,
-                                  ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
-  Tensor calibrate(const Tensor& x);
+                                  const ExecContext& ctx = {}) const;
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
   [[nodiscard]] QTensor forward_int(const QTensor& x,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    const ExecContext& ctx = {}) const;
 
   [[nodiscard]] int out_channels() const { return out_ch_; }
   [[nodiscard]] int stride() const { return stride_; }
@@ -121,7 +139,7 @@ class Conv2d {
   bool depthwise_ = false;
   Tensor w_;  ///< {out, in_per_group, k, k}
   Tensor b_;  ///< {out}
-  RangeObserver out_obs_;
+  mutable RangeObserver out_obs_;
   std::vector<std::int8_t> wq_;
   std::vector<std::int32_t> bq_;
   double w_scale_ = 0.0;
@@ -140,16 +158,13 @@ class LayerNorm {
   LayerNorm(int dim, Rng& rng);
 
   [[nodiscard]] Tensor forward_fp(const Tensor& x,
-                                  ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
-  Tensor calibrate(const Tensor& x);
+                                  const ExecContext& ctx = {}) const;
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
   /// Threads over rows; the batched RSQRT call stays a single span so the
   /// result is bit-identical to serial.
   [[nodiscard]] QTensor forward_int(const QTensor& x,
                                     const NonlinearProvider& nl,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    const ExecContext& ctx = {}) const;
 
   [[nodiscard]] Tensor& gamma() { return gamma_; }
   [[nodiscard]] Tensor& beta() { return beta_; }
@@ -157,7 +172,7 @@ class LayerNorm {
  private:
   int dim_ = 0;
   Tensor gamma_, beta_;
-  RangeObserver out_obs_;
+  mutable RangeObserver out_obs_;
   QuantParams in_qp_, out_qp_;
 };
 
@@ -174,13 +189,11 @@ class Softmax {
   }
 
   [[nodiscard]] static Tensor forward_fp(const Tensor& rows,
-                                         ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr);
+                                         const ExecContext& ctx = {});
   /// `rows` must carry a power-of-two scale. Threads over rows.
   [[nodiscard]] static QTensor forward_int(const QTensor& rows,
                                            const NonlinearProvider& nl,
-                                           ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr);
+                                           const ExecContext& ctx = {});
 };
 
 // ---------------------------------------------------------------------------
@@ -191,19 +204,16 @@ class Activation {
   Activation(Op op) : op_(op) {}
 
   [[nodiscard]] Tensor forward_fp(const Tensor& x,
-                                  ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
-  Tensor calibrate(const Tensor& x);
+                                  const ExecContext& ctx = {}) const;
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
   /// Threads over leading-dimension rows.
   [[nodiscard]] QTensor forward_int(const QTensor& x,
                                     const NonlinearProvider& nl,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    const ExecContext& ctx = {}) const;
 
  private:
   Op op_;
-  RangeObserver out_obs_;
+  mutable RangeObserver out_obs_;
   QuantParams in_qp_, out_qp_;
 };
 
@@ -214,17 +224,14 @@ class Activation {
 class ResidualAdd {
  public:
   [[nodiscard]] Tensor forward_fp(const Tensor& a, const Tensor& b,
-                                  ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
-  Tensor calibrate(const Tensor& a, const Tensor& b);
+                                  const ExecContext& ctx = {}) const;
   QuantParams freeze(const QuantParams& a_qp, const QuantParams& b_qp,
                      const QuantPolicy& policy);
   [[nodiscard]] QTensor forward_int(const QTensor& a, const QTensor& b,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    const ExecContext& ctx = {}) const;
 
  private:
-  RangeObserver out_obs_;
+  mutable RangeObserver out_obs_;
   QuantParams a_qp_, b_qp_, out_qp_;
   Requantizer rq_a_, rq_b_;
 };
@@ -238,21 +245,18 @@ class AttentionSR {
   AttentionSR(int dim, int heads, int sr_ratio, Rng& rng);
 
   [[nodiscard]] Tensor forward_fp(const Tensor& tokens, int h, int w,
-                                  ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
-  Tensor calibrate(const Tensor& tokens, int h, int w);
+                                  const ExecContext& ctx = {}) const;
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
   /// Threads over heads (the Q/K/V/proj linears thread over rows).
   [[nodiscard]] QTensor forward_int(const QTensor& tokens, int h, int w,
                                     const NonlinearProvider& nl,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    const ExecContext& ctx = {}) const;
 
  private:
   int dim_ = 0, heads_ = 0, sr_ = 1;
   Linear q_lin_, k_lin_, v_lin_, proj_;
   std::unique_ptr<Conv2d> sr_conv_;
-  RangeObserver score_obs_, attn_obs_;
+  mutable RangeObserver score_obs_, attn_obs_;
   QuantParams score_qp_, attn_qp_;
   Requantizer rq_score_, rq_attn_;
 };
@@ -267,20 +271,17 @@ class LinearAttention {
   LinearAttention(int dim, Rng& rng);
 
   [[nodiscard]] Tensor forward_fp(const Tensor& tokens,
-                                  ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
-  Tensor calibrate(const Tensor& tokens);
+                                  const ExecContext& ctx = {}) const;
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
   /// Threads over output rows (the shared KᵀV/Kᵀ1 reduction stays serial).
   [[nodiscard]] QTensor forward_int(const QTensor& tokens,
                                     const NonlinearProvider& nl,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    const ExecContext& ctx = {}) const;
 
  private:
   int dim_ = 0;
   Linear q_lin_, k_lin_, v_lin_, proj_;
-  RangeObserver den_obs_, out_obs_;
+  mutable RangeObserver den_obs_, out_obs_;
   QuantParams out_qp_;
   int den_prescale_exp_ = 0;  ///< denominator pre-scale 2^g into DIV range
 };
@@ -293,14 +294,11 @@ class MixFfn {
   MixFfn(int dim, int hidden, Rng& rng);
 
   [[nodiscard]] Tensor forward_fp(const Tensor& tokens, int h, int w,
-                                  ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
-  Tensor calibrate(const Tensor& tokens, int h, int w);
+                                  const ExecContext& ctx = {}) const;
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
   [[nodiscard]] QTensor forward_int(const QTensor& tokens, int h, int w,
                                     const NonlinearProvider& nl,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    const ExecContext& ctx = {}) const;
 
  private:
   Linear fc1_, fc2_;
@@ -317,14 +315,11 @@ class MbConv {
   MbConv(int in_ch, int out_ch, int expand, int stride, Rng& rng);
 
   [[nodiscard]] Tensor forward_fp(const Tensor& x,
-                                  ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
-  Tensor calibrate(const Tensor& x);
+                                  const ExecContext& ctx = {}) const;
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
   [[nodiscard]] QTensor forward_int(const QTensor& x,
                                     const NonlinearProvider& nl,
-                                    ThreadPool* pool = nullptr,
-                                  Workspace* ws = nullptr) const;
+                                    const ExecContext& ctx = {}) const;
 
  private:
   bool residual_ = false;

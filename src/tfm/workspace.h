@@ -12,7 +12,8 @@
 // docs/ARCHITECTURE.md):
 //   - One Workspace per thread, never shared: acquire/release are NOT
 //     thread-safe. Inside a pooled forward, only the calling thread may
-//     touch the workspace (module fan-out lambdas never do).
+//     touch the workspace (module fan-out bodies reach it only through
+//     ExecContext::lane(), which keeps it only when the fan-out is inline).
 //   - A workspace-backed Tensor/QTensor is an ordinary value; releasing it
 //     back is an optimization, not a requirement. Tensors that never came
 //     from the workspace may be released into it (the pool adopts them).

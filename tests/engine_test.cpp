@@ -3,8 +3,8 @@
 // lanes, with cold and pre-warmed providers; Workspace reuse must never
 // alias live tensors (consecutive forwards through one workspace give
 // identical codes); the granularity-floored pooled_for must skip fan-out
-// below the threshold; and SegTask's engine path must reproduce the legacy
-// serial mIoU exactly.
+// below the threshold; and SegTask's mIoU must not depend on the engine's
+// lane count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -309,7 +309,7 @@ TEST(PooledForGranularity, DefaultKeepsHistoricalFanOut) {
 
 // ------------------------------------------------- SegTask engine parity --
 
-TEST(SegTaskEngine, EngineAndLegacySerialMiouIdentical) {
+TEST(SegTaskEngine, OneAndTwoLaneMiouIdentical) {
   SegTaskOptions options;
   options.train_scenes = 6;
   options.calib_scenes = 2;
@@ -318,18 +318,16 @@ TEST(SegTaskEngine, EngineAndLegacySerialMiouIdentical) {
   options.scene.size = 32;
   options.scene.num_classes = 6;
 
-  options.scene_parallel = true;  // engine path (default)
-  options.num_threads = 2;
-  const SegformerTask engine_task = make_segformer_task(options);
-
-  options.scene_parallel = false;  // legacy serial path
   options.num_threads = 1;
   const SegformerTask serial_task = make_segformer_task(options);
 
+  options.num_threads = 2;
+  const SegformerTask wide_task = make_segformer_task(options);
+
   const auto nl = tfm::NonlinearProvider::with_method(
       Method::kGqaRm, {Op::kExp, Op::kGelu, Op::kDiv, Op::kRsqrt});
-  EXPECT_EQ(engine_task.miou_fp(), serial_task.miou_fp());
-  EXPECT_EQ(engine_task.miou_int(nl), serial_task.miou_int(nl));
+  EXPECT_EQ(wide_task.miou_fp(), serial_task.miou_fp());
+  EXPECT_EQ(wide_task.miou_int(nl), serial_task.miou_int(nl));
 }
 
 // The EfficientViT task must use EfficientViT's own argmax (regression:

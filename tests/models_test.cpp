@@ -6,6 +6,7 @@
 #include "eval/scene.h"
 #include "tfm/models/efficientvit.h"
 #include "tfm/models/segformer.h"
+#include "util/artifact_store.h"
 #include "util/contracts.h"
 
 namespace gqa::tfm {
@@ -83,6 +84,26 @@ TEST(Segformer, IntAgreesWithFpAfterCalibration) {
   EXPECT_GT(cm.pixel_accuracy(), 0.75);
 }
 
+/// FNV-1a over the raw bytes of a logits map's integer codes.
+std::uint64_t code_hash(const QTensor& logits) {
+  return fnv1a(std::string_view(
+      reinterpret_cast<const char*>(logits.data().data()),
+      logits.data().size() * sizeof(std::int32_t)));
+}
+
+// Golden integer codes: calibration records activation ranges, freeze()
+// turns them into the power-of-two scales and requantizers, and any change
+// to either moves these hashes. Both models, exact provider, one scene.
+TEST(Segformer, GoldenIntCodes) {
+  SegformerB0Like model(small_segformer());
+  const LabeledScene scene = make_scene(SceneOptions{.size = 32}, 21);
+  model.calibrate(scene.image);
+  model.freeze();
+  const QTensor logits =
+      model.forward_int(scene.image, NonlinearProvider::exact());
+  EXPECT_EQ(code_hash(logits), 0xfe47021f21b4205dULL);
+}
+
 TEST(Segformer, IntForwardDeterministic) {
   SegformerB0Like model(small_segformer());
   const LabeledScene scene = make_scene(SceneOptions{.size = 32}, 5);
@@ -144,6 +165,16 @@ TEST(EfficientViT, HswishReplacementRunsEndToEnd) {
       Method::kGqaRm, {Op::kHswish, Op::kDiv});
   const QTensor logits = model.forward_int(scene.image, nl);
   EXPECT_EQ(logits.shape(), (Shape{19, 4, 4}));
+}
+
+TEST(EfficientViT, GoldenIntCodes) {
+  EfficientViTB0Like model(small_evit());
+  const LabeledScene scene = make_scene(SceneOptions{.size = 32}, 21);
+  model.calibrate(scene.image);
+  model.freeze();
+  const QTensor logits =
+      model.forward_int(scene.image, NonlinearProvider::exact());
+  EXPECT_EQ(code_hash(logits), 0xe6327b4b3eaab0dfULL);
 }
 
 // ---------------------------------------------------------------- provider

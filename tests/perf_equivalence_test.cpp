@@ -478,10 +478,10 @@ const tfm::NonlinearProvider& full_provider() {
 
 template <typename Fn>
 void expect_pool_invariant(const Fn& forward, const char* what) {
-  const auto serial = forward(nullptr);
+  const auto serial = forward(tfm::ExecContext{});
   for (int threads : {2, 4}) {
     ThreadPool pool(threads);
-    const auto threaded = forward(&pool);
+    const auto threaded = forward(tfm::ExecContext{.pool = &pool});
     ASSERT_EQ(serial.shape(), threaded.shape()) << what;
     EXPECT_EQ(serial.data(), threaded.data())
         << what << " diverges at " << threads << " threads";
@@ -492,14 +492,14 @@ TEST(ThreadedForward, LinearBitIdentical) {
   Rng rng = eq_rng();
   tfm::Linear lin(24, 16, rng);
   tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{13, 24}, rng, 1.0);
-  (void)lin.calibrate(x);
+  (void)lin.forward_fp(x, {.calibrating = true});
   const QuantParams in_qp{x.amax() / 127.0, 8, true};
   (void)lin.freeze(in_qp, tfm::QuantPolicy{});
   const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
   expect_pool_invariant(
-      [&](ThreadPool* pool) { return lin.forward_fp(x, pool); }, "Linear fp");
+      [&](const auto& ctx) { return lin.forward_fp(x, ctx); }, "Linear fp");
   expect_pool_invariant(
-      [&](ThreadPool* pool) { return lin.forward_int(qx, pool); },
+      [&](const auto& ctx) { return lin.forward_int(qx, ctx); },
       "Linear int");
 }
 
@@ -555,7 +555,7 @@ FrozenConv make_frozen_conv(const ConvCase& c, bool saturate) {
   if (saturate) {
     for (float& v : calib.data()) v /= 16.0F;
   }
-  (void)f.conv.calibrate(calib);
+  (void)f.conv.forward_fp(calib, {.calibrating = true});
   const QuantParams in_qp{f.x.amax() / (saturate ? 4.0 : 1.0) / 127.0, 8,
                           true};
   (void)f.conv.freeze(in_qp, tfm::QuantPolicy{});
@@ -575,10 +575,10 @@ TEST(ThreadedForward, Conv2dBitIdentical) {
     SCOPED_TRACE(c.name);
     const FrozenConv f = make_frozen_conv(c, /*saturate=*/false);
     expect_pool_invariant(
-        [&](ThreadPool* pool) { return f.conv.forward_fp(f.x, pool); },
+        [&](const auto& ctx) { return f.conv.forward_fp(f.x, ctx); },
         "Conv2d fp");
     expect_pool_invariant(
-        [&](ThreadPool* pool) { return f.conv.forward_int(f.qx, pool); },
+        [&](const auto& ctx) { return f.conv.forward_int(f.qx, ctx); },
         "Conv2d int");
   }
 }
@@ -587,16 +587,16 @@ TEST(ThreadedForward, LayerNormBitIdentical) {
   Rng rng = eq_rng();
   tfm::LayerNorm ln(32, rng);
   tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{11, 32}, rng, 1.5);
-  (void)ln.calibrate(x);
+  (void)ln.forward_fp(x, {.calibrating = true});
   const QuantParams in_qp{x.amax() / 127.0, 8, true};
   (void)ln.freeze(in_qp, tfm::QuantPolicy{});
   const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
   expect_pool_invariant(
-      [&](ThreadPool* pool) { return ln.forward_fp(x, pool); },
+      [&](const auto& ctx) { return ln.forward_fp(x, ctx); },
       "LayerNorm fp");
   expect_pool_invariant(
-      [&](ThreadPool* pool) {
-        return ln.forward_int(qx, full_provider(), pool);
+      [&](const auto& ctx) {
+        return ln.forward_int(qx, full_provider(), ctx);
       },
       "LayerNorm int");
 }
@@ -607,11 +607,11 @@ TEST(ThreadedForward, SoftmaxBitIdentical) {
   const QuantParams qp = make_po2_params(x.amax() / 127.0, 8);
   const tfm::QTensor qx = tfm::QTensor::quantize(x, qp);
   expect_pool_invariant(
-      [&](ThreadPool* pool) { return tfm::Softmax::forward_fp(x, pool); },
+      [&](const auto& ctx) { return tfm::Softmax::forward_fp(x, ctx); },
       "Softmax fp");
   expect_pool_invariant(
-      [&](ThreadPool* pool) {
-        return tfm::Softmax::forward_int(qx, full_provider(), pool);
+      [&](const auto& ctx) {
+        return tfm::Softmax::forward_int(qx, full_provider(), ctx);
       },
       "Softmax int");
 }
@@ -641,11 +641,11 @@ TEST(KernelBackendParity, LinearForwardBitIdenticalUnderEveryBackend) {
   Rng rng = eq_rng();
   tfm::Linear lin(21, 16, rng);  // in=21: every GEMM row ends in a tail
   tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{13, 21}, rng, 1.0);
-  (void)lin.calibrate(x);
+  (void)lin.forward_fp(x, {.calibrating = true});
   const QuantParams in_qp{x.amax() / 127.0, 8, true};
   (void)lin.freeze(in_qp, tfm::QuantPolicy{});
   const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
-  expect_backend_invariant([&] { return lin.forward_int(qx, nullptr); },
+  expect_backend_invariant([&] { return lin.forward_int(qx); },
                            "Linear int");
 }
 
@@ -666,9 +666,10 @@ TEST(KernelBackendParity, ConvForwardsBitIdenticalUnderEveryBackend) {
       for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
         tfm::Workspace ws;
         expect_backend_invariant(
-            [&] { return f.conv.forward_int(f.qx, p); }, "Conv2d int");
+            [&] { return f.conv.forward_int(f.qx, {.pool = p}); },
+            "Conv2d int");
         expect_backend_invariant(
-            [&] { return f.conv.forward_int(f.qx, p, &ws); },
+            [&] { return f.conv.forward_int(f.qx, {p, &ws}); },
             "Conv2d int (workspace)");
       }
     }
@@ -679,19 +680,19 @@ TEST(KernelBackendParity, LayerNormAndSoftmaxBitIdenticalUnderEveryBackend) {
   Rng rng = eq_rng();
   tfm::LayerNorm ln(33, rng);  // dim=33: row sums end in a vector tail
   tfm::Tensor xl = tfm::Tensor::randn(tfm::Shape{11, 33}, rng, 1.5);
-  (void)ln.calibrate(xl);
+  (void)ln.forward_fp(xl, {.calibrating = true});
   const QuantParams ln_qp{xl.amax() / 127.0, 8, true};
   (void)ln.freeze(ln_qp, tfm::QuantPolicy{});
   const tfm::QTensor qxl = tfm::QTensor::quantize(xl, ln_qp);
   expect_backend_invariant(
-      [&] { return ln.forward_int(qxl, full_provider(), nullptr); },
+      [&] { return ln.forward_int(qxl, full_provider()); },
       "LayerNorm int");
 
   tfm::Tensor xs = tfm::Tensor::randn(tfm::Shape{9, 13}, rng, 2.0);
   const QuantParams sm_qp = make_po2_params(xs.amax() / 127.0, 8);
   const tfm::QTensor qxs = tfm::QTensor::quantize(xs, sm_qp);
   expect_backend_invariant(
-      [&] { return tfm::Softmax::forward_int(qxs, full_provider(), nullptr); },
+      [&] { return tfm::Softmax::forward_int(qxs, full_provider()); },
       "Softmax int");
 }
 
@@ -699,16 +700,16 @@ TEST(ThreadedForward, ActivationBitIdentical) {
   Rng rng = eq_rng();
   tfm::Activation act(Op::kGelu);
   tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{10, 16}, rng, 1.5);
-  (void)act.calibrate(x);
+  (void)act.forward_fp(x, {.calibrating = true});
   const QuantParams in_qp = make_po2_params(x.amax() / 127.0, 8);
   (void)act.freeze(in_qp, tfm::QuantPolicy{});
   const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
   expect_pool_invariant(
-      [&](ThreadPool* pool) { return act.forward_fp(x, pool); },
+      [&](const auto& ctx) { return act.forward_fp(x, ctx); },
       "Activation fp");
   expect_pool_invariant(
-      [&](ThreadPool* pool) {
-        return act.forward_int(qx, full_provider(), pool);
+      [&](const auto& ctx) {
+        return act.forward_int(qx, full_provider(), ctx);
       },
       "Activation int");
 }
@@ -718,17 +719,17 @@ TEST(ThreadedForward, ResidualAddBitIdentical) {
   tfm::ResidualAdd add;
   tfm::Tensor a = tfm::Tensor::randn(tfm::Shape{7, 8}, rng, 1.0);
   tfm::Tensor b = tfm::Tensor::randn(tfm::Shape{7, 8}, rng, 1.0);
-  (void)add.calibrate(a, b);
+  (void)add.forward_fp(a, b, {.calibrating = true});
   const QuantParams a_qp{a.amax() / 127.0, 8, true};
   const QuantParams b_qp{b.amax() / 127.0, 8, true};
   (void)add.freeze(a_qp, b_qp, tfm::QuantPolicy{});
   const tfm::QTensor qa = tfm::QTensor::quantize(a, a_qp);
   const tfm::QTensor qb = tfm::QTensor::quantize(b, b_qp);
   expect_pool_invariant(
-      [&](ThreadPool* pool) { return add.forward_fp(a, b, pool); },
+      [&](const auto& ctx) { return add.forward_fp(a, b, ctx); },
       "ResidualAdd fp");
   expect_pool_invariant(
-      [&](ThreadPool* pool) { return add.forward_int(qa, qb, pool); },
+      [&](const auto& ctx) { return add.forward_int(qa, qb, ctx); },
       "ResidualAdd int");
 }
 
@@ -736,16 +737,16 @@ TEST(ThreadedForward, AttentionSRBitIdentical) {
   Rng rng = eq_rng();
   tfm::AttentionSR attn(16, 2, 2, rng);
   tfm::Tensor tokens = tfm::Tensor::randn(tfm::Shape{16, 16}, rng, 0.7);
-  (void)attn.calibrate(tokens, 4, 4);
+  (void)attn.forward_fp(tokens, 4, 4, {.calibrating = true});
   const QuantParams in_qp{tokens.amax() / 127.0, 8, true};
   (void)attn.freeze(in_qp, tfm::QuantPolicy{});
   const tfm::QTensor qx = tfm::QTensor::quantize(tokens, in_qp);
   expect_pool_invariant(
-      [&](ThreadPool* pool) { return attn.forward_fp(tokens, 4, 4, pool); },
+      [&](const auto& ctx) { return attn.forward_fp(tokens, 4, 4, ctx); },
       "AttentionSR fp");
   expect_pool_invariant(
-      [&](ThreadPool* pool) {
-        return attn.forward_int(qx, 4, 4, full_provider(), pool);
+      [&](const auto& ctx) {
+        return attn.forward_int(qx, 4, 4, full_provider(), ctx);
       },
       "AttentionSR int");
 }
@@ -754,16 +755,16 @@ TEST(ThreadedForward, LinearAttentionBitIdentical) {
   Rng rng = eq_rng();
   tfm::LinearAttention attn(16, rng);
   tfm::Tensor tokens = tfm::Tensor::randn(tfm::Shape{24, 16}, rng, 0.7);
-  (void)attn.calibrate(tokens);
+  (void)attn.forward_fp(tokens, {.calibrating = true});
   const QuantParams in_qp{tokens.amax() / 127.0, 8, true};
   (void)attn.freeze(in_qp, tfm::QuantPolicy{});
   const tfm::QTensor qx = tfm::QTensor::quantize(tokens, in_qp);
   expect_pool_invariant(
-      [&](ThreadPool* pool) { return attn.forward_fp(tokens, pool); },
+      [&](const auto& ctx) { return attn.forward_fp(tokens, ctx); },
       "LinearAttention fp");
   expect_pool_invariant(
-      [&](ThreadPool* pool) {
-        return attn.forward_int(qx, full_provider(), pool);
+      [&](const auto& ctx) {
+        return attn.forward_int(qx, full_provider(), ctx);
       },
       "LinearAttention int");
 }
@@ -772,16 +773,16 @@ TEST(ThreadedForward, MixFfnBitIdentical) {
   Rng rng = eq_rng();
   tfm::MixFfn ffn(8, 32, rng);
   tfm::Tensor tokens = tfm::Tensor::randn(tfm::Shape{16, 8}, rng, 0.7);
-  (void)ffn.calibrate(tokens, 4, 4);
+  (void)ffn.forward_fp(tokens, 4, 4, {.calibrating = true});
   const QuantParams in_qp{tokens.amax() / 127.0, 8, true};
   (void)ffn.freeze(in_qp, tfm::QuantPolicy{});
   const tfm::QTensor qx = tfm::QTensor::quantize(tokens, in_qp);
   expect_pool_invariant(
-      [&](ThreadPool* pool) { return ffn.forward_fp(tokens, 4, 4, pool); },
+      [&](const auto& ctx) { return ffn.forward_fp(tokens, 4, 4, ctx); },
       "MixFfn fp");
   expect_pool_invariant(
-      [&](ThreadPool* pool) {
-        return ffn.forward_int(qx, 4, 4, full_provider(), pool);
+      [&](const auto& ctx) {
+        return ffn.forward_int(qx, 4, 4, full_provider(), ctx);
       },
       "MixFfn int");
 }
@@ -790,16 +791,16 @@ TEST(ThreadedForward, MbConvBitIdentical) {
   Rng rng = eq_rng();
   tfm::MbConv block(8, 8, 2, 1, rng);
   tfm::Tensor x = tfm::Tensor::randn(tfm::Shape{8, 6, 6}, rng, 0.7);
-  (void)block.calibrate(x);
+  (void)block.forward_fp(x, {.calibrating = true});
   const QuantParams in_qp = make_po2_params(x.amax() / 127.0, 8);
   (void)block.freeze(in_qp, tfm::QuantPolicy{});
   const tfm::QTensor qx = tfm::QTensor::quantize(x, in_qp);
   expect_pool_invariant(
-      [&](ThreadPool* pool) { return block.forward_fp(x, pool); },
+      [&](const auto& ctx) { return block.forward_fp(x, ctx); },
       "MbConv fp");
   expect_pool_invariant(
-      [&](ThreadPool* pool) {
-        return block.forward_int(qx, full_provider(), pool);
+      [&](const auto& ctx) {
+        return block.forward_int(qx, full_provider(), ctx);
       },
       "MbConv int");
 }

@@ -5,6 +5,8 @@
 
 #include <cmath>
 
+#include "tfm/models/efficientvit.h"
+#include "tfm/models/segformer.h"
 #include "tfm/modules.h"
 #include "tfm/probe.h"
 #include "util/contracts.h"
@@ -67,7 +69,7 @@ TEST(LinearModule, IntMatchesFpWithinQuantError) {
   Rng rng = test_rng();
   Linear lin(16, 8, rng);
   Tensor x = Tensor::randn(Shape{5, 16}, rng, 1.0);
-  const Tensor ref = lin.calibrate(x);
+  const Tensor ref = lin.forward_fp(x, {.calibrating = true});
   const QuantParams in_qp{x.amax() / 127.0, 8, true};
   const QuantParams out_qp = lin.freeze(in_qp, QuantPolicy{});
   const QTensor qx = QTensor::quantize(x, in_qp);
@@ -123,7 +125,7 @@ TEST(ConvModule, IntMatchesFpWithinQuantError) {
   Rng rng = test_rng();
   Conv2d conv(4, 6, 3, 1, 1, rng);
   Tensor x = Tensor::randn(Shape{4, 6, 6}, rng, 1.0);
-  const Tensor ref = conv.calibrate(x);
+  const Tensor ref = conv.forward_fp(x, {.calibrating = true});
   const QuantParams in_qp{x.amax() / 127.0, 8, true};
   const QuantParams out_qp = conv.freeze(in_qp, QuantPolicy{});
   const QTensor qy = conv.forward_int(QTensor::quantize(x, in_qp));
@@ -161,7 +163,7 @@ TEST(ConvModule, RejectsInputSmallerThanKernel) {
   // The integer path enforces the same geometry. Calibrate/freeze on a
   // valid size first so forward_int reaches the shape check.
   Tensor ok = Tensor::randn(Shape{2, 6, 6}, rng, 1.0);
-  (void)conv.calibrate(ok);
+  (void)conv.forward_fp(ok, {.calibrating = true});
   const QuantParams in_qp{ok.amax() / 127.0, 8, true};
   (void)conv.freeze(in_qp, QuantPolicy{});
   QTensor small(Shape{2, 3, 3}, in_qp);
@@ -193,7 +195,7 @@ TEST(LayerNormModule, IntTracksFpWithExactRsqrt) {
   Rng rng = test_rng();
   LayerNorm ln(64, rng);
   Tensor x = Tensor::randn(Shape{6, 64}, rng, 1.5);
-  const Tensor ref = ln.calibrate(x);
+  const Tensor ref = ln.forward_fp(x, {.calibrating = true});
   const QuantParams in_qp{x.amax() / 127.0, 8, true};
   const QuantParams out_qp = ln.freeze(in_qp, QuantPolicy{});
   const NonlinearProvider exact = NonlinearProvider::exact();
@@ -212,7 +214,7 @@ TEST(LayerNormModule, RejectsInputParamsDifferingFromFreeze) {
   Rng rng = test_rng();
   LayerNorm ln(16, rng);
   Tensor x = Tensor::randn(Shape{4, 16}, rng, 1.0);
-  (void)ln.calibrate(x);
+  (void)ln.forward_fp(x, {.calibrating = true});
   const QuantParams in_qp{x.amax() / 127.0, 8, true};
   (void)ln.freeze(in_qp, QuantPolicy{});
   const QuantParams other{in_qp.scale * 2.0, 8, true};
@@ -292,7 +294,7 @@ TEST(ActivationModule, GeluIntPath) {
   Rng rng = test_rng();
   Activation act(Op::kGelu);
   Tensor x = Tensor::randn(Shape{4, 16}, rng, 1.5);
-  const Tensor ref = act.calibrate(x);
+  const Tensor ref = act.forward_fp(x, {.calibrating = true});
   const QuantParams in_qp = make_po2_params(x.amax() / 127.0, 8);
   const QuantParams out_qp = act.freeze(in_qp, QuantPolicy{});
   const NonlinearProvider nl =
@@ -310,7 +312,8 @@ TEST(ActivationModule, GeluIntPath) {
 TEST(ActivationModule, RejectsNonPo2Input) {
   Rng rng = test_rng();
   Activation act(Op::kHswish);
-  (void)act.calibrate(Tensor::randn(Shape{2, 4}, rng, 1.0));
+  (void)act.forward_fp(Tensor::randn(Shape{2, 4}, rng, 1.0),
+                       {.calibrating = true});
   EXPECT_THROW(act.freeze(QuantParams{0.3, 8, true}, QuantPolicy{}),
                ContractViolation);
 }
@@ -322,7 +325,7 @@ TEST(ResidualAddModule, IntAddMatchesFp) {
   ResidualAdd add;
   Tensor a = Tensor::randn(Shape{3, 8}, rng, 1.0);
   Tensor b = Tensor::randn(Shape{3, 8}, rng, 1.0);
-  const Tensor ref = add.calibrate(a, b);
+  const Tensor ref = add.forward_fp(a, b, {.calibrating = true});
   const QuantParams a_qp{a.amax() / 127.0, 8, true};
   const QuantParams b_qp{b.amax() / 127.0, 8, true};
   const QuantParams out_qp = add.freeze(a_qp, b_qp, QuantPolicy{});
@@ -340,7 +343,7 @@ TEST(ResidualAddModule, RejectsOperandParamsDifferingFromFreeze) {
   ResidualAdd add;
   Tensor a = Tensor::randn(Shape{3, 8}, rng, 1.0);
   Tensor b = Tensor::randn(Shape{3, 8}, rng, 1.0);
-  (void)add.calibrate(a, b);
+  (void)add.forward_fp(a, b, {.calibrating = true});
   const QuantParams a_qp{a.amax() / 127.0, 8, true};
   const QuantParams b_qp{b.amax() / 127.0, 8, true};
   (void)add.freeze(a_qp, b_qp, QuantPolicy{});
@@ -358,7 +361,7 @@ TEST(AttentionSRModule, IntTracksFp) {
   Rng rng = test_rng();
   AttentionSR attn(16, 2, 2, rng);
   Tensor tokens = Tensor::randn(Shape{16, 16}, rng, 0.7);
-  const Tensor ref = attn.calibrate(tokens, 4, 4);
+  const Tensor ref = attn.forward_fp(tokens, 4, 4, {.calibrating = true});
   const QuantParams in_qp{tokens.amax() / 127.0, 8, true};
   const QuantParams out_qp = attn.freeze(in_qp, QuantPolicy{});
   const QTensor qy = attn.forward_int(QTensor::quantize(tokens, in_qp), 4, 4,
@@ -382,7 +385,7 @@ TEST(LinearAttentionModule, IntTracksFp) {
   Rng rng = test_rng();
   LinearAttention attn(16, rng);
   Tensor tokens = Tensor::randn(Shape{24, 16}, rng, 0.7);
-  const Tensor ref = attn.calibrate(tokens);
+  const Tensor ref = attn.forward_fp(tokens, {.calibrating = true});
   const QuantParams in_qp{tokens.amax() / 127.0, 8, true};
   const QuantParams out_qp = attn.freeze(in_qp, QuantPolicy{});
   const QTensor qy = attn.forward_int(QTensor::quantize(tokens, in_qp),
@@ -404,7 +407,7 @@ TEST(MixFfnModule, EndToEndIntPath) {
   Rng rng = test_rng();
   MixFfn ffn(8, 32, rng);
   Tensor tokens = Tensor::randn(Shape{16, 8}, rng, 0.7);
-  (void)ffn.calibrate(tokens, 4, 4);
+  (void)ffn.forward_fp(tokens, 4, 4, {.calibrating = true});
   const QuantParams in_qp{tokens.amax() / 127.0, 8, true};
   const QuantParams out_qp = ffn.freeze(in_qp, QuantPolicy{});
   const QTensor qy = ffn.forward_int(QTensor::quantize(tokens, in_qp), 4, 4,
@@ -417,7 +420,7 @@ TEST(MbConvModule, ResidualWiring) {
   Rng rng = test_rng();
   MbConv block(8, 8, 2, 1, rng);  // residual (in == out, stride 1)
   Tensor x = Tensor::randn(Shape{8, 6, 6}, rng, 0.7);
-  (void)block.calibrate(x);
+  (void)block.forward_fp(x, {.calibrating = true});
   const QuantParams in_qp = make_po2_params(x.amax() / 127.0, 8);
   (void)block.freeze(in_qp, QuantPolicy{});
   const QTensor qy =
@@ -427,6 +430,57 @@ TEST(MbConvModule, ResidualWiring) {
   MbConv down(8, 16, 2, 2, rng);  // no residual (stride 2)
   const Tensor y = down.forward_fp(x);
   EXPECT_EQ(y.shape(), (Shape{16, 3, 3}));
+}
+
+// ------------------------------------------------------------ exec context
+
+TEST(ExecContext, LaneDropsPoolAndKeepsWorkspaceOnlyInline) {
+  Workspace ws;
+  ThreadPool one(1);
+  ThreadPool two(2);
+  EXPECT_EQ((ExecContext{nullptr, &ws}.lane().ws), &ws);
+  EXPECT_EQ((ExecContext{&one, &ws}.lane().ws), &ws);
+  const ExecContext lane = ExecContext{&two, &ws, true}.lane();
+  EXPECT_EQ(lane.pool, nullptr);
+  EXPECT_EQ(lane.ws, nullptr);
+  EXPECT_TRUE(lane.calibrating);
+}
+
+TEST(ExecContext, CalibratingForwardRejectsMultiLanePool) {
+  Rng rng = test_rng();
+  Linear lin(16, 8, rng);
+  const Tensor x = Tensor::randn(Shape{32, 16}, rng, 1.0);
+  ThreadPool two(2);
+  EXPECT_THROW((void)lin.forward_fp(x, {.pool = &two, .calibrating = true}),
+               ContractViolation);
+  // A plain forward on the same pool records nothing, so freeze() still
+  // demands calibration.
+  (void)lin.forward_fp(x, {.pool = &two});
+  EXPECT_THROW(lin.freeze(QuantParams{0.05, 8, true}, QuantPolicy{}),
+               ContractViolation);
+  ThreadPool one(1);
+  (void)lin.forward_fp(x, {.pool = &one, .calibrating = true});
+  EXPECT_NO_THROW(lin.freeze(QuantParams{0.05, 8, true}, QuantPolicy{}));
+}
+
+TEST(ExecContext, CalibratingModelForwardIsBitIdenticalToPlain) {
+  Rng rng = test_rng();
+  const Tensor image = Tensor::randn(Shape{3, 32, 32}, rng, 1.0);
+  const SegformerB0Like seg(SegformerConfig{.image_size = 32,
+                                            .dims = {16, 24, 32, 48},
+                                            .heads = {1, 2, 4, 8},
+                                            .depths = {1, 1, 1, 1},
+                                            .decoder_dim = 32});
+  EXPECT_EQ(seg.forward_fp(image, {.calibrating = true}).data(),
+            seg.forward_fp(image).data());
+  const EfficientViTB0Like evit(EfficientViTConfig{
+      .image_size = 32, .widths = {8, 12, 16, 24}, .head_dim = 24});
+  EXPECT_EQ(evit.forward_fp(image, {.calibrating = true}).data(),
+            evit.forward_fp(image).data());
+  ThreadPool two(2);
+  EXPECT_THROW(
+      (void)seg.forward_fp(image, {.pool = &two, .calibrating = true}),
+      ContractViolation);
 }
 
 // ------------------------------------------------------------------- probe

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo-invariant linter, registered as the `invariant_lint` ctest (label:
-# lint) and run in CI. Six rules, each one a cross-cutting invariant that
+# lint) and run in CI. Seven rules, each one a cross-cutting invariant that
 # no single compiler diagnostic can enforce:
 #
 #  R1  Every GQA_* environment variable src/ actually reads (env_int /
@@ -25,6 +25,10 @@
 #      `.name = "<backend>"` designated initializers) must appear in the
 #      docs/ARCHITECTURE.md backend table — a backend operators can select
 #      via GQA_KERNEL_BACKEND must not be undocumented.
+#  R7  Every GQA_* row of README.md's env-knob table must be read (as a
+#      "GQA_..." string literal) somewhere in src/, bench/, tools/,
+#      examples/ or tests/ — the converse of R1: a documented knob whose
+#      reads were deleted silently does nothing.
 #
 # Exit: non-zero with one pointed message per violation. GQA_LINT_ROOT
 # overrides the repo root (used by lint_selftest.sh for fixture trees).
@@ -79,7 +83,10 @@ check_enum_documented R2 DropPolicy src/eval/server.h
 check_enum_documented R2 ServingErrorCode src/util/serving_error.h
 
 # --- R3: concurrency tests labeled --------------------------------------
-labeled=$(awk '/set\(GQA_CONCURRENCY_TESTS/{f=1;next} f&&/\)/{f=0} f{print $1}' \
+# The closing paren shares a line with the last entry, so strip it before
+# printing instead of stopping at that line.
+labeled=$(awk '/set\(GQA_CONCURRENCY_TESTS/{f=1;next}
+  f{closing=/\)/; sub(/\).*/, ""); if (NF) print $1; if (closing) f=0}' \
   CMakeLists.txt)
 for test_src in tests/*.cpp; do
   [ -e "$test_src" ] || continue
@@ -121,6 +128,18 @@ for backend in $backend_names; do
     fail "R6: kernel backend '$backend' (src/kernel/dispatch*.cpp) is" \
          "missing from docs/ARCHITECTURE.md — update the kernel-dispatch" \
          "backend table"
+  fi
+done
+
+# --- R7: documented env knobs still read ---------------------------------
+documented=$(grep -oE '^\| `GQA_[A-Z0-9_]+`' README.md | grep -oE 'GQA_[A-Z0-9_]+' \
+  | sort -u)
+for var in $documented; do
+  if ! grep -rqF --include='*.cpp' --include='*.h' -- "\"$var\"" \
+      src/ bench/ tools/ examples/ tests/ 2>/dev/null; then
+    fail "R7: README.md documents env knob $var but nothing in src/," \
+         "bench/, tools/, examples/ or tests/ reads it (drop the row or" \
+         "restore the read)"
   fi
 done
 

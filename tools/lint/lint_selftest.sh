@@ -13,6 +13,7 @@
 #   naked-thread        std::thread + detach outside util/  -> R4 fires
 #   stale-fault-map     drop a fault::Point enumerator row  -> R5 fires
 #   stale-backend-table drop a kernel backend's doc rows    -> R6 fires
+#   unread-env-row      README row for a knob nobody reads  -> R7 fires
 #
 # plus the control: an unmodified copy must pass (the linter must not
 # cry wolf on the real tree).
@@ -31,7 +32,7 @@ make_fixture() {
   cp README.md CMakeLists.txt "$dir/"
   mkdir -p "$dir/docs"
   cp docs/ARCHITECTURE.md "$dir/docs/"
-  cp -r src tests "$dir/"
+  cp -r src tests bench tools examples "$dir/"
   echo "$dir"
 }
 
@@ -102,7 +103,13 @@ dir=$(make_fixture stale-backend-table)
 sed -i '/`avx2`/d' "$dir/docs/ARCHITECTURE.md"
 expect_fail stale-backend-table "R6: kernel backend 'avx2'" "$dir"
 
+# --- unread env row: document a knob that no code reads -----------------
+dir=$(make_fixture unread-env-row)
+echo '| `GQA_SELFTEST_UNREAD` | off | Documented, never read. |' \
+  >> "$dir/README.md"
+expect_fail unread-env-row 'R7: README.md documents env knob GQA_SELFTEST_UNREAD' "$dir"
+
 if [ "$fails" -eq 0 ]; then
-  echo "lint-selftest: OK (6 violation classes fire, control passes)"
+  echo "lint-selftest: OK (7 violation classes fire, control passes)"
 fi
 exit $fails
