@@ -1,9 +1,9 @@
 // Runtime-dispatched SIMD kernel backends (modeled on ggml-cpu's arch
-// dispatch): every integer hot path keeps its scalar loop verbatim as the
-// oracle, and a backend may vectorize it behind a function table. A null
-// entry in the table means "use the scalar oracle" — so the `scalar`
-// backend is simply the all-null table and the call sites fall through to
-// the loops that have always been there.
+// dispatch): every integer hot path keeps a scalar loop as the oracle (at
+// its call site, or kernel/gemm.h for the GEMM and depthwise ops), and a
+// backend may vectorize it behind a function table. A null entry in the
+// table means "use the scalar oracle" — so the `scalar` backend is simply
+// the all-null table.
 //
 // Selection happens once, at first use: the highest-priority backend whose
 // capability probe (cpuid / HWCAP) passes wins, unless GQA_KERNEL_BACKEND
@@ -16,7 +16,7 @@
 // Integer reductions reorder freely (integer addition is associative in the
 // no-overflow domain the buses guarantee); floating-point reductions may
 // NOT be vectorized (FP addition is not associative), which is why the
-// Softmax exp-sum and all requantizer math stay scalar. The differential
+// Softmax exp-sum stays scalar. The differential
 // suite (tests/simd_kernel_test.cpp) and the checksum-gated kernel_simd
 // bench section enforce the contract.
 #pragma once
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "numerics/dyadic.h"
 #include "numerics/saturate.h"
 
 namespace gqa::kernel {
@@ -60,6 +61,54 @@ struct PwlTableView {
   double acc_scale = 0.0;
 };
 
+/// Register-tile geometry of the packed integer GEMM panels. The layout is
+/// the same for every backend (kernel/gemm.h packs both operands).
+inline constexpr int kGemmTileM = 8;  ///< output rows per weight tile
+inline constexpr int kGemmTileN = 8;  ///< columns per activation tile
+
+/// One integer GEMM  y[o,p] = rq(bias[o] + Σk W[o,k]·X[k,p])  over packed
+/// operands: o < m output rows (Linear features, conv output channels),
+/// p < n columns (tokens, pixels), k < depth reduction terms.
+///  - `w_panel` (pack_gemm_weights): per tile of kGemmTileM rows, per
+///    k-pair j, kGemmTileM int8 pairs (W[o,2j], W[o,2j+1]); padded rows and
+///    the odd-depth pad term are zero.
+///  - `x_panel` (pack_gemm_x): per tile of kGemmTileN columns, per k-pair
+///    j, kGemmTileN int32 words, each holding (X[2j,p], X[2j+1,p]) as its
+///    int16 low/high halves. Columns past n are don't-care: their results
+///    are never stored.
+///  - The epilogue is Requantizer::apply: clamp_to_bus(rq.apply(bias[o] +
+///    acc), out), stored to y[o·y_stride_m + p·y_stride_n].
+struct GemmView {
+  const std::int8_t* w_panel = nullptr;
+  const std::int32_t* x_panel = nullptr;
+  const std::int32_t* bias = nullptr;
+  int m = 0, n = 0, depth = 0;
+  Dyadic rq;
+  BusBounds out;
+  std::int32_t* y = nullptr;
+  std::ptrdiff_t y_stride_m = 0, y_stride_n = 0;
+};
+
+/// Words a depthwise input buffer must stay readable past its last plane:
+/// vector kernels load whole 8-lane (stride 2: 16-word) windows at row
+/// ends and discard the lanes past the output width.
+inline constexpr std::size_t kDepthwiseSlackWords = 16;
+
+/// One depthwise k×k conv  y[c,oy,ox] = rq(bias[c] + Σ W[c,ky,kx]·
+/// X[c, oy·stride+ky, ox·stride+kx])  over zero-padded input planes
+/// {C, hp, wp} (readable kDepthwiseSlackWords past the end) and taps
+/// {C, k, k}; y is {C, oh, ow}. Same epilogue as GemmView.
+struct DepthwiseView {
+  const std::int32_t* x = nullptr;
+  int hp = 0, wp = 0;
+  const std::int8_t* w = nullptr;
+  const std::int32_t* bias = nullptr;
+  int kernel = 0, stride = 1, oh = 0, ow = 0;
+  Dyadic rq;
+  BusBounds out;
+  std::int32_t* y = nullptr;
+};
+
 /// Function table of one backend. Null entry == "scalar oracle handles it".
 struct KernelOps {
   /// IntPwlUnit::eval_codes body: contract-checks each code against the
@@ -75,12 +124,21 @@ struct KernelOps {
   /// clamp to the input bus instead of failing the precondition).
   void (*pwl_eval_reals_sat)(const PwlTableView&, const std::int64_t* q,
                              double* out, std::size_t n) = nullptr;
-  /// Σ a[i]·w[i] with int64 accumulation (Linear/attention GEMM rows).
+  /// Σ a[i]·w[i] with int64 accumulation. No forward calls it any more:
+  /// only perfbench's `kernel.dot_i32_i8_ns_per_elem` probe and the
+  /// bench_to_json `kernel_simd` row still read it.
   std::int64_t (*dot_i32_i8)(const std::int32_t* a, const std::int8_t* w,
                              std::size_t n) = nullptr;
-  /// acc[i] += w·x[i] over an int64 plane (1x1 conv channel accumulation).
-  void (*axpy_i64_i32)(std::int64_t* acc, const std::int32_t* x,
-                       std::int32_t w, std::size_t n) = nullptr;
+  /// gemm_reference body over column tiles [tile_lo, tile_hi) with int32
+  /// accumulation. The caller guarantees the exactness gate
+  /// (int32_accumulation_exact in kernel/gemm.h); every Linear, pointwise
+  /// and dense Conv2d runs through it.
+  void (*gemm)(const GemmView& g, std::size_t tile_lo,
+               std::size_t tile_hi) = nullptr;
+  /// depthwise_reference body over channels [ch_lo, ch_hi) with int32
+  /// accumulation, under the same caller-guaranteed gate.
+  void (*depthwise)(const DepthwiseView& d, std::size_t ch_lo,
+                    std::size_t ch_hi) = nullptr;
   /// Σ x[i] widened to int64 (LayerNorm row sum).
   std::int64_t (*sum_i32)(const std::int32_t* x, std::size_t n) = nullptr;
   /// Σ (dim·x[i] − sum)² — the D-scaled centered second moment of a

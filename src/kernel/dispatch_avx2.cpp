@@ -14,8 +14,13 @@
 //  - int64->double uses the 2^52+2^51 magic-constant trick, exact for
 //    |v| < 2^51 (the view guarantees acc fits 50 bits), and the acc_scale
 //    multiply is a single-rounded elementwise op — the same operation the
-//    scalar path performs.
-// Each kernel ends with a scalar tail loop for the n % lane_width rump.
+//    scalar path performs;
+//  - the GEMM and depthwise kernels accumulate int16-pair products in int32
+//    lanes, exact under the exactness gate their callers check
+//    (kernel/gemm.h), and run the requantizer in int64 lanes.
+// The row kernels end with a scalar tail loop for the n % lane_width rump;
+// the GEMM and depthwise kernels compute whole padded tiles and store only
+// the valid lanes.
 #include "kernel/dispatch.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -24,6 +29,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
+#include "kernel/gemm.h"
 #include "util/contracts.h"
 
 namespace gqa::kernel {
@@ -288,19 +296,161 @@ std::int64_t avx2_dot_i32_i8(const std::int32_t* a, const std::int8_t* w,
   return sum;
 }
 
-void avx2_axpy_i64_i32(std::int64_t* acc, const std::int32_t* x,
-                       std::int32_t w, std::size_t n) {
-  const __m256i wv = _mm256_set1_epi64x(w);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i xv = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i)));
-    const __m256i sum = _mm256_add_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i)),
-        _mm256_mul_epi32(xv, wv));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), sum);
+/// The Requantizer epilogue on 8 int32 lanes: clamp_to_bus(shift_round(
+/// (bias + acc)·mult, shift), out), in int64 halves. bias·mult and acc·mult
+/// are separate exact 32x32->64 products (bias + acc itself may exceed
+/// int32); shift_round's half-away-from-zero rounding is a logical shift of
+/// |v| + 2^(shift-1) with the sign restored, exact for |v| < 2^62.
+struct Requant8 {
+  __m256i mult, offset, lo, hi;
+  __m128i shift;
+  bool shifts;
+
+  Requant8(const Dyadic& rq, BusBounds out)
+      : mult(_mm256_set1_epi64x(rq.mult)),
+        offset(_mm256_set1_epi64x(rq.shift > 0 ? std::int64_t{1} << (rq.shift - 1)
+                                               : 0)),
+        lo(_mm256_set1_epi64x(out.lo)),
+        hi(_mm256_set1_epi64x(out.hi)),
+        shift(_mm_cvtsi32_si128(rq.shift)),
+        shifts(rq.shift > 0) {
+    GQA_EXPECTS(rq.shift >= 0 && rq.shift < 63);
   }
-  for (; i < n; ++i) acc[i] += static_cast<std::int64_t>(w) * x[i];
+
+  [[nodiscard]] __m256i half(__m256i acc64, __m256i bias64) const {
+    __m256i v = _mm256_add_epi64(_mm256_mul_epi32(acc64, mult),
+                                 _mm256_mul_epi32(bias64, mult));
+    if (shifts) {
+      const __m256i neg = _mm256_cmpgt_epi64(_mm256_setzero_si256(), v);
+      const __m256i mag = _mm256_sub_epi64(_mm256_xor_si256(v, neg), neg);
+      const __m256i r = _mm256_srl_epi64(_mm256_add_epi64(mag, offset), shift);
+      v = _mm256_sub_epi64(_mm256_xor_si256(r, neg), neg);
+    }
+    return clamp_epi64(v, lo, hi);
+  }
+
+  [[nodiscard]] __m256i apply(__m256i acc, __m256i bias) const {
+    const __m256i r0 = half(_mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc)),
+                            _mm256_cvtepi32_epi64(_mm256_castsi256_si128(bias)));
+    const __m256i r1 =
+        half(_mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc, 1)),
+             _mm256_cvtepi32_epi64(_mm256_extracti128_si256(bias, 1)));
+    const __m256i even = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+    return _mm256_blend_epi32(_mm256_permutevar8x32_epi32(r0, even),
+                              _mm256_permutevar8x32_epi32(r1, even), 0xF0);
+  }
+};
+
+/// One kGemmTileM x kGemmTileN register tile: lane o of column vector c[j]
+/// accumulates row o of the weight tile against column j. Each k-pair is
+/// one sign-extending weight load and eight broadcast-madd steps.
+void avx2_gemm(const GemmView& g, std::size_t tile_lo, std::size_t tile_hi) {
+  static_assert(kGemmTileM == 8 && kGemmTileN == 8,
+                "the register tile is 8 int32 lanes by 8 columns");
+  const int pairs = gemm_pairs(g.depth);
+  const Requant8 rq(g.rq, g.out);
+  for (std::size_t t = tile_lo; t < tile_hi; ++t) {
+    const std::int32_t* xt =
+        g.x_panel + t * static_cast<std::size_t>(pairs) * kGemmTileN;
+    const int p0 = static_cast<int>(t) * kGemmTileN;
+    const int cols = std::min(kGemmTileN, g.n - p0);
+    for (int o0 = 0; o0 < g.m; o0 += kGemmTileM) {
+      const std::int8_t* wt =
+          g.w_panel + static_cast<std::size_t>(o0 / kGemmTileM) * pairs *
+                          kGemmTileM * 2;
+      __m256i c0 = _mm256_setzero_si256(), c1 = c0, c2 = c0, c3 = c0,
+              c4 = c0, c5 = c0, c6 = c0, c7 = c0;
+      const std::int32_t* xw = xt;
+      for (int j = 0; j < pairs; ++j, wt += kGemmTileM * 2, xw += kGemmTileN) {
+        const __m256i w = _mm256_cvtepi8_epi16(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(wt)));
+        c0 = _mm256_add_epi32(c0, _mm256_madd_epi16(w, _mm256_set1_epi32(xw[0])));
+        c1 = _mm256_add_epi32(c1, _mm256_madd_epi16(w, _mm256_set1_epi32(xw[1])));
+        c2 = _mm256_add_epi32(c2, _mm256_madd_epi16(w, _mm256_set1_epi32(xw[2])));
+        c3 = _mm256_add_epi32(c3, _mm256_madd_epi16(w, _mm256_set1_epi32(xw[3])));
+        c4 = _mm256_add_epi32(c4, _mm256_madd_epi16(w, _mm256_set1_epi32(xw[4])));
+        c5 = _mm256_add_epi32(c5, _mm256_madd_epi16(w, _mm256_set1_epi32(xw[5])));
+        c6 = _mm256_add_epi32(c6, _mm256_madd_epi16(w, _mm256_set1_epi32(xw[6])));
+        c7 = _mm256_add_epi32(c7, _mm256_madd_epi16(w, _mm256_set1_epi32(xw[7])));
+      }
+      const int rows = std::min(kGemmTileM, g.m - o0);
+      alignas(32) std::int32_t bias[kGemmTileM] = {};
+      std::copy_n(g.bias + o0, rows, bias);
+      const __m256i bv = _mm256_load_si256(reinterpret_cast<const __m256i*>(bias));
+      alignas(32) std::int32_t tile[kGemmTileN][kGemmTileM];
+      const __m256i acc[kGemmTileN] = {c0, c1, c2, c3, c4, c5, c6, c7};
+      for (int j = 0; j < cols; ++j) {
+        _mm256_store_si256(reinterpret_cast<__m256i*>(tile[j]),
+                           rq.apply(acc[j], bv));
+      }
+      for (int j = 0; j < cols; ++j) {
+        std::int32_t* y = g.y + o0 * g.y_stride_m + (p0 + j) * g.y_stride_n;
+        for (int o = 0; o < rows; ++o) y[o * g.y_stride_m] = tile[j][o];
+      }
+    }
+  }
+}
+
+/// Eight output pixels of one row per step, one 8-lane input window per
+/// tap: contiguous for stride 1, the even lanes of two loads for stride 2.
+/// Codes fit int16 (the gate), so each int32 lane is an int16 pair (code,
+/// sign extension) and madd against the tap pair (w, 0) is code·w exactly.
+/// Other strides run the scalar oracle.
+void avx2_depthwise(const DepthwiseView& d, std::size_t ch_lo,
+                    std::size_t ch_hi) {
+  if (d.stride != 1 && d.stride != 2) {
+    depthwise_reference(d, ch_lo, ch_hi);
+    return;
+  }
+  const Requant8 rq(d.rq, d.out);
+  const std::size_t kk = static_cast<std::size_t>(d.kernel) * d.kernel;
+  const std::size_t plane = static_cast<std::size_t>(d.hp) * d.wp;
+  const std::size_t pixels = static_cast<std::size_t>(d.oh) * d.ow;
+  const __m256i even = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  for (std::size_t ch = ch_lo; ch < ch_hi; ++ch) {
+    const std::int8_t* taps = d.w + ch * kk;
+    const std::int32_t* x = d.x + ch * plane;
+    const __m256i bv = _mm256_set1_epi32(d.bias[ch]);
+    for (int oy = 0; oy < d.oh; ++oy) {
+      std::int32_t* out = d.y + ch * pixels + static_cast<std::size_t>(oy) * d.ow;
+      for (int ox = 0; ox < d.ow; ox += 8) {
+        __m256i acc = _mm256_setzero_si256();
+        for (int ky = 0; ky < d.kernel; ++ky) {
+          const std::int32_t* row =
+              x + static_cast<std::size_t>(oy * d.stride + ky) * d.wp +
+              static_cast<std::size_t>(ox) * d.stride;
+          for (int kx = 0; kx < d.kernel; ++kx) {
+            const __m256i w = _mm256_set1_epi32(static_cast<std::uint16_t>(
+                taps[static_cast<std::size_t>(ky) * d.kernel + kx]));
+            __m256i xv;
+            if (d.stride == 1) {
+              xv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + kx));
+            } else {
+              xv = _mm256_blend_epi32(
+                  _mm256_permutevar8x32_epi32(
+                      _mm256_loadu_si256(
+                          reinterpret_cast<const __m256i*>(row + kx)),
+                      even),
+                  _mm256_permutevar8x32_epi32(
+                      _mm256_loadu_si256(
+                          reinterpret_cast<const __m256i*>(row + kx + 8)),
+                      even),
+                  0xF0);
+            }
+            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xv, w));
+          }
+        }
+        const __m256i r = rq.apply(acc, bv);
+        if (ox + 8 <= d.ow) {
+          _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + ox), r);
+        } else {
+          alignas(32) std::int32_t lanes[8];
+          _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), r);
+          std::copy_n(lanes, d.ow - ox, out + ox);
+        }
+      }
+    }
+  }
 }
 
 std::int64_t avx2_sum_i32(const std::int32_t* x, std::size_t n) {
@@ -385,7 +535,8 @@ const KernelBackend kAvx2Backend{
             .pwl_eval_reals = avx2_pwl_eval_reals,
             .pwl_eval_reals_sat = avx2_pwl_eval_reals_sat,
             .dot_i32_i8 = avx2_dot_i32_i8,
-            .axpy_i64_i32 = avx2_axpy_i64_i32,
+            .gemm = avx2_gemm,
+            .depthwise = avx2_depthwise,
             .sum_i32 = avx2_sum_i32,
             .ssq_centered_i32 = avx2_ssq_centered_i32,
             .max_i32 = avx2_max_i32,

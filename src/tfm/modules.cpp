@@ -1,10 +1,13 @@
 #include "tfm/modules.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "kernel/dispatch.h"
+#include "kernel/gemm.h"
 #include "numerics/nonlinear.h"
 #include "numerics/rounding.h"
 #include "util/contracts.h"
@@ -51,6 +54,69 @@ int conv_out_size(int in, int kernel, int stride, int pad) {
 constexpr std::size_t kMinRowsPerLane = 8;
 constexpr std::size_t kMinChannelsPerLane = 2;
 constexpr std::size_t kMinElemsPerLane = 4096;
+/// GEMM fan-outs count work in multiply-accumulates: a register-tile
+/// column block of a small layer is far cheaper than one pool dispatch.
+constexpr std::size_t kMinMacsPerLane = std::size_t{1} << 20;
+
+/// Quantizes a GEMM layer's weights W{rows, depth} and packs them into the
+/// kernel panel; returns whether int32 accumulation is exact for inputs
+/// with `in_qp` (the gate both the dispatched kernel and the layer read).
+/// The activation panel holds int16 codes, so wider inputs are rejected.
+bool pack_gemm_layer(const Tensor& w, int rows, int depth,
+                     const QuantParams& in_qp, double& w_scale,
+                     std::vector<std::int8_t>& panel) {
+  const BusBounds in = bus_bounds(in_qp.bits, in_qp.is_signed);
+  GQA_EXPECTS_MSG(in.lo >= std::numeric_limits<std::int16_t>::min() &&
+                      in.hi <= std::numeric_limits<std::int16_t>::max(),
+                  "integer Linear/Conv2d inputs must be codes of at most 16 "
+                  "bits (the GEMM activation panel holds int16 pairs)");
+  std::vector<std::int8_t> codes;
+  w_scale = quantize_weights(w, codes);
+  panel = kernel::pack_gemm_weights(codes, rows, depth);
+  return kernel::int32_accumulation_exact(
+      in, kernel::max_row_abs_sum(codes, rows, depth));
+}
+
+/// Activation panels up to this many words live on the stack: the
+/// Workspace serves buffers below its pooling floor from the allocator,
+/// so small layers would otherwise allocate on every forward.
+constexpr std::size_t kStackPanelWords = 2048;
+
+/// Runs one GEMM layer over its g.n columns. `pack(panel, lo, hi)` fills
+/// the activation panel's column tiles [lo, hi); the dispatched gemm then
+/// computes them, or the scalar oracle when the backend has no gemm or the
+/// layer fails the exactness gate. Tiles fan out across the pool, and each
+/// lane packs and reads only its own tiles.
+template <typename Pack>
+void run_gemm(kernel::GemmView g, bool int32_exact, const Pack& pack,
+              const ExecContext& ctx) {
+  const std::size_t words = kernel::gemm_x_panel_words(g.depth, g.n);
+  std::array<std::int32_t, kStackPanelWords> local;
+  QTensor pooled;
+  std::int32_t* panel = local.data();
+  if (words > local.size()) {
+    pooled = ws_qtensor(ctx.ws, Shape{static_cast<int>(words)}, QuantParams{});
+    panel = pooled.data().data();
+  } else {
+    std::fill_n(panel, words, 0);  // pad columns: computed, never stored
+  }
+  g.x_panel = panel;
+  const auto dispatched = kernel::active().ops.gemm;
+  const auto gemm = dispatched != nullptr && int32_exact
+                        ? dispatched
+                        : kernel::gemm_reference;
+  const auto tile = [&](std::size_t t) {
+    pack(panel, t, t + 1);
+    gemm(g, t, t + 1);
+  };
+  // std::cref: a std::function holds a reference_wrapper without a heap
+  // allocation, which a capture of this size would cost on every call.
+  const std::size_t tile_macs =
+      static_cast<std::size_t>(kernel::kGemmTileN) * g.m * g.depth;
+  pooled_for(ctx.pool, kernel::gemm_tiles(g.n), std::cref(tile),
+             std::max<std::size_t>(1, kMinMacsPerLane / tile_macs));
+  if (words > local.size()) ws_release(ctx.ws, std::move(pooled));
+}
 
 /// Records a calibrating forward's output range; a plain forward never
 /// touches the observer. Observers are unsynchronised, so calibration is
@@ -97,7 +163,7 @@ QuantParams Linear::freeze(const QuantParams& in_qp,
                            const QuantPolicy& policy) {
   GQA_EXPECTS_MSG(!out_obs_.empty(), "freeze() requires prior calibration");
   in_qp_ = in_qp;
-  w_scale_ = quantize_weights(w_, wq_);
+  int32_exact_ = pack_gemm_layer(w_, out_, in_, in_qp, w_scale_, wq_);
   const double acc_scale = in_qp.scale * w_scale_;
   bq_ = quantize_bias(b_, acc_scale);
   out_qp_ = po2_out_ ? out_obs_.make_po2(policy.act_bits)
@@ -111,30 +177,23 @@ QTensor Linear::forward_int(const QTensor& x, const ExecContext& ctx) const {
   GQA_EXPECTS_MSG(x.params() == in_qp_, "input params differ from freeze()");
   const int n = x.shape()[0];
   QTensor y = ws_qtensor(ctx.ws, Shape{n, out_}, out_qp_);
-  // Dispatched inner product: integer accumulation reorders exactly (no
-  // overflow within the INT8xINT8->int64 domain), so the SIMD dot equals
-  // the scalar loop bit-for-bit and the bias-first order is preserved.
-  const auto dot = kernel::active().ops.dot_i32_i8;
-  pooled_for(
-      ctx.pool, static_cast<std::size_t>(n),
-      [&](std::size_t row) {
-        const int i = static_cast<int>(row);
-        const std::int32_t* xrow =
-            x.data().data() + static_cast<std::size_t>(i) * in_;
-        for (int o = 0; o < out_; ++o) {
-          std::int64_t acc = bq_[static_cast<std::size_t>(o)];
-          const std::size_t wrow = static_cast<std::size_t>(o) * in_;
-          if (dot != nullptr) {
-            acc += dot(xrow, wq_.data() + wrow, static_cast<std::size_t>(in_));
-          } else {
-            for (int k = 0; k < in_; ++k) {
-              acc += static_cast<std::int64_t>(x.at(i, k)) * wq_[wrow + k];
-            }
-          }
-          y.at(i, o) = static_cast<std::int32_t>(rq_.apply(acc));
-        }
-      },
-      kMinRowsPerLane);
+  // Row-major tokens: X[k,p] = x[p·in + k]; y stays {tokens, out}.
+  run_gemm({.w_panel = wq_.data(),
+            .bias = bq_.data(),
+            .m = out_,
+            .n = n,
+            .depth = in_,
+            .rq = rq_.multiplier(),
+            .out = bus_bounds(out_qp_.bits, out_qp_.is_signed),
+            .y = y.data().data(),
+            .y_stride_m = 1,
+            .y_stride_n = out_},
+           int32_exact_,
+           [&](std::int32_t* panel, std::size_t lo, std::size_t hi) {
+             kernel::pack_gemm_x(x.data().data(), 1, in_, in_, n, panel, lo,
+                                 hi);
+           },
+           ctx);
   return y;
 }
 
@@ -195,7 +254,15 @@ QuantParams Conv2d::freeze(const QuantParams& in_qp,
                            const QuantPolicy& policy) {
   GQA_EXPECTS_MSG(!out_obs_.empty(), "freeze() requires prior calibration");
   in_qp_ = in_qp;
-  w_scale_ = quantize_weights(w_, wq_);
+  const int depth = (depthwise_ ? 1 : in_ch_) * kernel_ * kernel_;
+  if (depthwise_) {
+    w_scale_ = quantize_weights(w_, wq_);
+    int32_exact_ = kernel::int32_accumulation_exact(
+        bus_bounds(in_qp.bits, in_qp.is_signed),
+        kernel::max_row_abs_sum(wq_, out_ch_, depth));
+  } else {
+    int32_exact_ = pack_gemm_layer(w_, out_ch_, depth, in_qp, w_scale_, wq_);
+  }
   const double acc_scale = in_qp.scale * w_scale_;
   bq_ = quantize_bias(b_, acc_scale);
   out_qp_ = po2_out_ ? out_obs_.make_po2(policy.act_bits)
@@ -212,144 +279,109 @@ QTensor Conv2d::forward_int(const QTensor& x, const ExecContext& ctx) const {
   const int oh = conv_out_size(h, kernel_, stride_, pad_);
   const int ow = conv_out_size(w, kernel_, stride_, pad_);
   QTensor y = ws_qtensor(ctx.ws, Shape{out_ch_, oh, ow}, out_qp_);
-  const std::size_t kk = static_cast<std::size_t>(kernel_) * kernel_;
-  const std::size_t per_oc = (depthwise_ ? 1 : static_cast<std::size_t>(in_ch_)) * kk;
-  const std::size_t pixels = static_cast<std::size_t>(oh) * ow;
-  const kernel::KernelOps& ops = kernel::active().ops;
-  // Pointwise (1x1, stride 1, no pad, dense) convolutions are plane-wise
-  // axpy chains: per output channel, accumulate w[oc,ic]·x[ic,·] over the
-  // contiguous input planes into an int64 plane seeded with the bias. The
-  // per-pixel summation order (bias, then ic ascending) matches the scalar
-  // loop exactly, so the requantized codes are bit-identical. The channel
-  // planes are slices of one workspace buffer acquired before the fan-out.
-  const auto axpy = ops.axpy_i64_i32;
-  if (axpy != nullptr && kernel_ == 1 && stride_ == 1 && pad_ == 0 &&
-      !depthwise_) {
-    std::vector<std::int64_t> acc_planes =
-        ws_i64(ctx.ws, static_cast<std::size_t>(out_ch_) * pixels);
-    pooled_for(ctx.pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
-      std::int64_t* acc = acc_planes.data() + ch * pixels;
-      std::fill_n(acc, pixels, static_cast<std::int64_t>(bq_[ch]));
-      for (int ic = 0; ic < in_ch_; ++ic) {
-        axpy(acc, x.data().data() + static_cast<std::size_t>(ic) * pixels,
-             wq_[ch * in_ch_ + static_cast<std::size_t>(ic)], pixels);
-      }
-      std::int32_t* yplane = y.data().data() + ch * pixels;
-      for (std::size_t p = 0; p < pixels; ++p) {
-        yplane[p] = static_cast<std::int32_t>(rq_.apply(acc[p]));
-      }
-    }, kMinChannelsPerLane);
-    ws_release(ctx.ws, std::move(acc_planes));
+  const int pixels = oh * ow;
+  const BusBounds out = bus_bounds(out_qp_.bits, out_qp_.is_signed);
+  // Pointwise and dense convs are GEMMs over output pixels (y stays
+  // {C, H, W}); depthwise convs do not read this view.
+  const kernel::GemmView g{.w_panel = wq_.data(),
+                           .bias = bq_.data(),
+                           .m = out_ch_,
+                           .n = pixels,
+                           .depth = in_ch_ * kernel_ * kernel_,
+                           .rq = rq_.multiplier(),
+                           .out = out,
+                           .y = y.data().data(),
+                           .y_stride_m = pixels,
+                           .y_stride_n = 1};
+  if (kernel_ == 1 && stride_ == 1 && pad_ == 0 && !depthwise_) {
+    // Pointwise: channel-major planes X[k,p] = x[k·pixels + p], transposed
+    // while packing.
+    run_gemm(g, int32_exact_,
+             [&](std::int32_t* panel, std::size_t lo, std::size_t hi) {
+               kernel::pack_gemm_x(x.data().data(), pixels, 1, in_ch_, pixels,
+                                   panel, lo, hi);
+             },
+             ctx);
     return y;
   }
-  // Every other shape, when the backend has a dot op, runs on a zero-padded
-  // copy of the input: out-of-bounds taps read exact zero codes, which add
-  // nothing to the int64 accumulator, so no tap needs a bounds check. Dense
-  // convs gather im2col rows in (ic, ky, kx) order — wq_'s row layout — and
-  // each pixel becomes one dispatched dot; depthwise convs run a direct
-  // loop over their padded plane. Integer accumulation is order-free here,
-  // so both reproduce the scalar loop below bit for bit.
-  const auto dot = ops.dot_i32_i8;
-  if (dot != nullptr) {
-    const int hp = h + 2 * pad_;
-    const int wp = w + 2 * pad_;
-    const std::size_t padded_plane = static_cast<std::size_t>(hp) * wp;
-    QTensor padded;
-    const std::int32_t* src = x.data().data();
-    if (pad_ > 0) {
-      padded = ws_qtensor(ctx.ws, Shape{in_ch_, hp, wp}, in_qp_);
-      for (int ic = 0; ic < in_ch_; ++ic) {
-        std::int32_t* out = padded.data().data() + ic * padded_plane +
-                            static_cast<std::size_t>(pad_) * wp + pad_;
-        for (int iy = 0; iy < h; ++iy, src += w, out += wp) {
-          std::copy_n(src, w, out);
-        }
+  // Every other shape reads a zero-padded copy of the input (depthwise
+  // always, for the vector kernels' slack words): out-of-bounds taps read
+  // exact zero codes, so no tap needs a bounds check.
+  const int hp = h + 2 * pad_;
+  const int wp = w + 2 * pad_;
+  const std::size_t plane = static_cast<std::size_t>(hp) * wp;
+  QTensor padded;
+  const std::int32_t* src = x.data().data();
+  if (pad_ > 0 || depthwise_) {
+    padded = ws_qtensor(
+        ctx.ws,
+        Shape{static_cast<int>(in_ch_ * plane + kernel::kDepthwiseSlackWords)},
+        in_qp_);
+    for (int ic = 0; ic < in_ch_; ++ic) {
+      std::int32_t* dst = padded.data().data() + ic * plane +
+                          static_cast<std::size_t>(pad_) * wp + pad_;
+      for (int iy = 0; iy < h; ++iy, src += w, dst += wp) {
+        std::copy_n(src, w, dst);
       }
-      src = padded.data().data();
     }
-    const auto window = [&](int ic, int oy, int ox) {
-      return src + static_cast<std::size_t>(ic) * padded_plane +
-             static_cast<std::size_t>(oy) * stride_ * wp +
-             static_cast<std::size_t>(ox) * stride_;
-    };
-    if (depthwise_) {
-      pooled_for(ctx.pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
-        const std::int8_t* wk = wq_.data() + ch * kk;
-        std::int32_t* yplane = y.data().data() + ch * pixels;
-        for (int oy = 0; oy < oh; ++oy) {
-          for (int ox = 0; ox < ow; ++ox) {
-            const std::int32_t* win = window(static_cast<int>(ch), oy, ox);
-            std::int64_t acc = bq_[ch];
-            for (int ky = 0; ky < kernel_; ++ky) {
-              for (int kx = 0; kx < kernel_; ++kx) {
-                acc += static_cast<std::int64_t>(
-                           win[static_cast<std::size_t>(ky) * wp + kx]) *
-                       wk[static_cast<std::size_t>(ky) * kernel_ + kx];
-              }
-            }
-            yplane[static_cast<std::size_t>(oy) * ow + ox] =
-                static_cast<std::int32_t>(rq_.apply(acc));
-          }
-        }
-      }, kMinChannelsPerLane);
-    } else {
-      QTensor cols = ws_qtensor(
-          ctx.ws, Shape{oh * ow, static_cast<int>(per_oc)}, in_qp_);
-      std::int32_t* col = cols.data().data();
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox) {
-          for (int ic = 0; ic < in_ch_; ++ic) {
-            const std::int32_t* win = window(ic, oy, ox);
-            for (int ky = 0; ky < kernel_; ++ky) {
-              col = std::copy_n(win + static_cast<std::size_t>(ky) * wp,
-                                kernel_, col);
-            }
-          }
-        }
-      }
-      pooled_for(ctx.pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
-        const std::int8_t* wrow = wq_.data() + ch * per_oc;
-        const std::int64_t bias = bq_[ch];
-        const std::int32_t* row = cols.data().data();
-        std::int32_t* yplane = y.data().data() + ch * pixels;
-        for (std::size_t p = 0; p < pixels; ++p, row += per_oc) {
-          yplane[p] =
-              static_cast<std::int32_t>(rq_.apply(bias + dot(row, wrow, per_oc)));
-        }
-      }, kMinChannelsPerLane);
-      ws_release(ctx.ws, std::move(cols));
-    }
-    ws_release(ctx.ws, std::move(padded));
-    return y;
+    src = padded.data().data();
   }
-  // Scalar oracle (the `scalar` backend): per-tap bounds checks, no
-  // padding copy.
-  pooled_for(ctx.pool, static_cast<std::size_t>(out_ch_), [&](std::size_t ch) {
-    const int oc = static_cast<int>(ch);
-    const int ic_lo = depthwise_ ? oc : 0;
-    const int ic_hi = depthwise_ ? oc + 1 : in_ch_;
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        std::int64_t acc = bq_[static_cast<std::size_t>(oc)];
-        for (int ic = ic_lo; ic < ic_hi; ++ic) {
-          const int wc = depthwise_ ? 0 : ic;
-          const std::size_t base =
-              static_cast<std::size_t>(oc) * per_oc + static_cast<std::size_t>(wc) * kk;
-          for (int ky = 0; ky < kernel_; ++ky) {
-            const int iy = oy * stride_ - pad_ + ky;
-            if (iy < 0 || iy >= h) continue;
-            for (int kx = 0; kx < kernel_; ++kx) {
-              const int ix = ox * stride_ - pad_ + kx;
-              if (ix < 0 || ix >= w) continue;
-              acc += static_cast<std::int64_t>(x.at(ic, iy, ix)) *
-                     wq_[base + static_cast<std::size_t>(ky) * kernel_ + kx];
-            }
-          }
-        }
-        y.at(oc, oy, ox) = static_cast<std::int32_t>(rq_.apply(acc));
-      }
-    }
-  }, kMinChannelsPerLane);
+  if (depthwise_) {
+    const kernel::DepthwiseView d{.x = src,
+                                  .hp = hp,
+                                  .wp = wp,
+                                  .w = wq_.data(),
+                                  .bias = bq_.data(),
+                                  .kernel = kernel_,
+                                  .stride = stride_,
+                                  .oh = oh,
+                                  .ow = ow,
+                                  .rq = rq_.multiplier(),
+                                  .out = out,
+                                  .y = y.data().data()};
+    const auto dispatched = kernel::active().ops.depthwise;
+    const auto depthwise = dispatched != nullptr && int32_exact_
+                               ? dispatched
+                               : kernel::depthwise_reference;
+    const auto channel = [&](std::size_t ch) { depthwise(d, ch, ch + 1); };
+    pooled_for(ctx.pool, static_cast<std::size_t>(out_ch_), std::cref(channel),
+               kMinChannelsPerLane);
+  } else {
+    // Dense k×k: the im2col gather writes each pixel's window, in
+    // (ic, ky, kx) order — the weight rows' order — straight into the
+    // panel, consecutive taps pairing into one word.
+    run_gemm(g, int32_exact_,
+             [&](std::int32_t* panel, std::size_t lo, std::size_t hi) {
+               const int p_hi = std::min(
+                   pixels, static_cast<int>(hi) * kernel::kGemmTileN);
+               for (int p = static_cast<int>(lo) * kernel::kGemmTileN;
+                    p < p_hi; ++p) {
+                 const std::int32_t* win =
+                     src + static_cast<std::size_t>(p / ow) * stride_ * wp +
+                     static_cast<std::size_t>(p % ow) * stride_;
+                 std::int32_t* col = panel + kernel::gemm_x_column(g.depth, p);
+                 std::int32_t pending = 0;
+                 bool odd = false;
+                 for (int ic = 0; ic < in_ch_; ++ic) {
+                   for (int ky = 0; ky < kernel_; ++ky) {
+                     const std::int32_t* row =
+                         win + ic * plane + static_cast<std::size_t>(ky) * wp;
+                     for (int kx = 0; kx < kernel_; ++kx, odd = !odd) {
+                       if (odd) {
+                         *col = kernel::gemm_pair(pending, row[kx]);
+                         col += kernel::kGemmTileN;
+                       } else {
+                         pending = row[kx];
+                       }
+                     }
+                   }
+                 }
+                 if (odd) *col = kernel::gemm_pair(pending, 0);
+               }
+             },
+             ctx);
+  }
+  if (pad_ > 0 || depthwise_) ws_release(ctx.ws, std::move(padded));
   return y;
 }
 

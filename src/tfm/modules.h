@@ -94,6 +94,9 @@ class Linear {
   [[nodiscard]] Tensor& weights() { return w_; }
   [[nodiscard]] Tensor& bias() { return b_; }
   [[nodiscard]] double weight_scale() const { return w_scale_; }
+  /// True when freeze() found int32 accumulation exact for this layer's
+  /// inputs, so forward_int may run the dispatched kernel.
+  [[nodiscard]] bool int32_accumulation_exact() const { return int32_exact_; }
   /// Forces a power-of-two output scale (required when a pwl unit consumes
   /// this output).
   void set_po2_output(bool po2) { po2_out_ = po2; }
@@ -104,8 +107,9 @@ class Linear {
   Tensor w_;  ///< {out, in}
   Tensor b_;  ///< {out}
   mutable RangeObserver out_obs_;
-  std::vector<std::int8_t> wq_;
+  std::vector<std::int8_t> wq_;  ///< INT8 weights as the GEMM panel (kernel/gemm.h)
   std::vector<std::int32_t> bq_;
+  bool int32_exact_ = false;  ///< passes kernel::int32_accumulation_exact
   double w_scale_ = 0.0;
   QuantParams in_qp_, out_qp_;
   Requantizer rq_;
@@ -127,6 +131,9 @@ class Conv2d {
 
   [[nodiscard]] int out_channels() const { return out_ch_; }
   [[nodiscard]] int stride() const { return stride_; }
+  /// True when freeze() found int32 accumulation exact for this layer's
+  /// inputs, so forward_int may run the dispatched kernel.
+  [[nodiscard]] bool int32_accumulation_exact() const { return int32_exact_; }
   [[nodiscard]] Tensor& weights() { return w_; }
   [[nodiscard]] Tensor& bias() { return b_; }
   /// Forces a power-of-two output scale (required when a pwl unit consumes
@@ -140,8 +147,11 @@ class Conv2d {
   Tensor w_;  ///< {out, in_per_group, k, k}
   Tensor b_;  ///< {out}
   mutable RangeObserver out_obs_;
+  /// INT8 weights: the GEMM panel (kernel/gemm.h), or {C, k, k} taps for a
+  /// depthwise conv.
   std::vector<std::int8_t> wq_;
   std::vector<std::int32_t> bq_;
+  bool int32_exact_ = false;  ///< passes kernel::int32_accumulation_exact
   double w_scale_ = 0.0;
   QuantParams in_qp_, out_qp_;
   Requantizer rq_;

@@ -504,8 +504,9 @@ TEST(ThreadedForward, LinearBitIdentical) {
 }
 
 /// One conv shape of the two models, at a size that exercises the fast
-/// path's edges. `per_oc` = in_ch·k·k is the im2col row length the AVX2
-/// dot runs over in 8-lane steps, so most dense cases end in a scalar tail.
+/// path's edges. `per_oc` = in_ch·k·k is the GEMM depth, packed in pairs,
+/// so odd cases end in a zero pad term; out_ch and oh·ow leave partial
+/// 8-row and 8-column register tiles.
 struct ConvCase {
   const char* name;
   int in_ch, out_ch, kernel, stride, pad, h, w;
@@ -529,7 +530,7 @@ const std::vector<ConvCase>& conv_cases() {
       // MixFfn / MbConv depthwise convs.
       {"depthwise 3x3/s1/p1", 6, 6, 3, 1, 1, 9, 9, true},
       {"depthwise 3x3/s2/p1", 6, 6, 3, 2, 1, 10, 9, true},
-      // Pointwise convs keep the channel-axpy branch.
+      // Pointwise convs pack channel-major planes.
       {"1x1/s1/p0", 5, 7, 1, 1, 0, 9, 9},
   };
   return cases;
@@ -650,10 +651,10 @@ TEST(KernelBackendParity, LinearForwardBitIdenticalUnderEveryBackend) {
 }
 
 TEST(KernelBackendParity, ConvForwardsBitIdenticalUnderEveryBackend) {
-  // Pointwise convs ride the channel-axpy branch, every other shape the
-  // padded im2col/depthwise path once the backend has a dot op; the scalar
-  // backend runs the bounds-checked oracle loop. Each case runs serial and
-  // pooled, and through a reused workspace whose parked scratch is dirty.
+  // Pointwise and dense convs run the packed GEMM, depthwise convs the
+  // depthwise op, against the scalar oracles under the `scalar` backend.
+  // Each case runs serial and pooled, and through a reused workspace whose
+  // parked scratch is dirty.
   ThreadPool pool(3);
   for (const ConvCase& c : conv_cases()) {
     for (const bool saturate : {false, true}) {
@@ -674,6 +675,35 @@ TEST(KernelBackendParity, ConvForwardsBitIdenticalUnderEveryBackend) {
       }
     }
   }
+}
+
+TEST(KernelBackendParity, GateFailingLayersTakeTheOracleUnderEveryBackend) {
+  // 16-bit input codes against a 4096-deep reduction: max|code|·Σ|w| is
+  // far past 2^31, so int32 accumulation is not provably exact, freeze()
+  // records the failed gate, and every backend runs the int64 oracle.
+  Rng rng = eq_rng();
+  tfm::Linear lin(4096, 6, rng);
+  tfm::Tensor xl = tfm::Tensor::randn(tfm::Shape{5, 4096}, rng, 1.0);
+  (void)lin.forward_fp(xl, {.calibrating = true});
+  const QuantParams lin_qp{xl.amax() / 32767.0, 16, true};
+  (void)lin.freeze(lin_qp, tfm::QuantPolicy{});
+  ASSERT_FALSE(lin.int32_accumulation_exact());
+  const tfm::QTensor qxl = tfm::QTensor::quantize(xl, lin_qp);
+  expect_backend_invariant([&] { return lin.forward_int(qxl); },
+                           "gate-failing Linear int");
+
+  tfm::Conv2d conv(64, 4, 8, 8, 0, rng);  // depth 64·8·8 = 4096
+  tfm::Tensor xc = tfm::Tensor::randn(tfm::Shape{64, 16, 16}, rng, 1.0);
+  (void)conv.forward_fp(xc, {.calibrating = true});
+  const QuantParams conv_qp{xc.amax() / 32767.0, 16, true};
+  (void)conv.freeze(conv_qp, tfm::QuantPolicy{});
+  ASSERT_FALSE(conv.int32_accumulation_exact());
+  const tfm::QTensor qxc = tfm::QTensor::quantize(xc, conv_qp);
+  ThreadPool pool(3);
+  expect_backend_invariant([&] { return conv.forward_int(qxc); },
+                           "gate-failing Conv2d int");
+  expect_backend_invariant([&] { return conv.forward_int(qxc, {.pool = &pool}); },
+                           "gate-failing Conv2d int (pooled)");
 }
 
 TEST(KernelBackendParity, LayerNormAndSoftmaxBitIdenticalUnderEveryBackend) {

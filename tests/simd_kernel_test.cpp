@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "kernel/dispatch.h"
+#include "kernel/gemm.h"
 #include "kernel/int_pwl_unit.h"
 #include "pwl/quantized_table.h"
 #include "util/contracts.h"
@@ -311,7 +312,7 @@ TEST(SimdRowKernelDifferential, DotProductMatchesScalarReference) {
   }
 }
 
-TEST(SimdRowKernelDifferential, AxpySumSsqMatchScalarReference) {
+TEST(SimdRowKernelDifferential, SumSsqMatchScalarReference) {
   const auto backends = available_simd_backends();
   GQA_SKIP_WITHOUT_SIMD_BACKEND(backends);
   Rng rng(0xA6B);
@@ -323,18 +324,6 @@ TEST(SimdRowKernelDifferential, AxpySumSsqMatchScalarReference) {
           x[i] = static_cast<std::int32_t>(rng.uniform_int(-2048, 2047));
         }
         const std::int32_t* xs = x.data() + offset;
-        if (backend->ops.axpy_i64_i32 != nullptr) {
-          const std::int32_t wgt =
-              static_cast<std::int32_t>(rng.uniform_int(-128, 127));
-          std::vector<std::int64_t> acc(len, 7);
-          std::vector<std::int64_t> expected = acc;
-          for (std::size_t i = 0; i < len; ++i) {
-            expected[i] += static_cast<std::int64_t>(wgt) * xs[i];
-          }
-          backend->ops.axpy_i64_i32(acc.data(), xs, wgt, len);
-          EXPECT_EQ(expected, acc)
-              << backend->name << " len=" << len << " offset=" << offset;
-        }
         if (backend->ops.sum_i32 != nullptr) {
           std::int64_t expected = 0;
           for (std::size_t i = 0; i < len; ++i) expected += xs[i];
@@ -385,6 +374,266 @@ TEST(SimdRowKernelDifferential, MaxAndSubWidenMatchScalarReference) {
             ASSERT_EQ(static_cast<std::int64_t>(xs[i]) - peak, out[i])
                 << backend->name << " len=" << len << " offset=" << offset
                 << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------- GEMM/depthwise ---
+
+/// Random codes on a `bits`-wide signed bus with both extremes planted.
+std::vector<std::int32_t> random_codes(Rng& rng, int bits, std::size_t len) {
+  const std::int64_t lo = int_min(bits, true);
+  const std::int64_t hi = int_max(bits, true);
+  std::vector<std::int32_t> v(len);
+  for (auto& c : v) c = static_cast<std::int32_t>(rng.uniform_int(lo, hi));
+  if (len >= 2) {
+    v[0] = static_cast<std::int32_t>(lo);
+    v[len - 1] = static_cast<std::int32_t>(hi);
+  }
+  return v;
+}
+
+std::vector<std::int8_t> random_weights(Rng& rng, std::size_t len) {
+  std::vector<std::int8_t> w(len);
+  for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  if (len >= 2) {
+    w[0] = -128;
+    w[len - 1] = 127;
+  }
+  return w;
+}
+
+/// The requantizer epilogue both kernels share: Requantizer::apply.
+std::int32_t requantize(std::int64_t acc, const Dyadic& rq, BusBounds out) {
+  return static_cast<std::int32_t>(clamp_to_bus(rq.apply(acc), out));
+}
+
+/// One GEMM problem in the two strided activation layouts the layers pack
+/// from: row-major tokens (Linear; y {n, m}) or channel-major planes
+/// (pointwise conv; y {m, n}).
+struct GemmProblem {
+  int m, n, depth, bits;
+  bool channel_major;
+  Dyadic rq;
+  BusBounds out;
+  std::vector<std::int8_t> w;    ///< row-major {m, depth}
+  std::vector<std::int32_t> x;   ///< strided view of X{depth, n}
+  std::vector<std::int32_t> bias;
+
+  [[nodiscard]] std::ptrdiff_t stride_k() const { return channel_major ? n : 1; }
+  [[nodiscard]] std::ptrdiff_t stride_n() const { return channel_major ? 1 : depth; }
+
+  /// Plain int64 triple loop over the unpacked operands.
+  [[nodiscard]] std::vector<std::int32_t> naive() const {
+    std::vector<std::int32_t> y(static_cast<std::size_t>(m) * n);
+    for (int o = 0; o < m; ++o) {
+      for (int p = 0; p < n; ++p) {
+        std::int64_t acc = bias[static_cast<std::size_t>(o)];
+        for (int k = 0; k < depth; ++k) {
+          acc += static_cast<std::int64_t>(w[static_cast<std::size_t>(o) * depth + k]) *
+                 x[static_cast<std::size_t>(k * stride_k() + p * stride_n())];
+        }
+        y[static_cast<std::size_t>(channel_major ? o * n + p : p * m + o)] =
+            requantize(acc, rq, out);
+      }
+    }
+    return y;
+  }
+
+  /// Packs both panels (one column tile at a time) and runs `gemm` tile by
+  /// tile, then over the whole range, asserting the two agree.
+  template <typename Gemm>
+  [[nodiscard]] std::vector<std::int32_t> run(const Gemm& gemm) const {
+    const std::vector<std::int8_t> wp = kernel::pack_gemm_weights(w, m, depth);
+    std::vector<std::int32_t> xp(kernel::gemm_x_panel_words(depth, n), 0);
+    const std::size_t tiles = kernel::gemm_tiles(n);
+    for (std::size_t t = 0; t < tiles; ++t) {
+      kernel::pack_gemm_x(x.data(), stride_k(), stride_n(), depth, n,
+                          xp.data(), t, t + 1);
+    }
+    std::vector<std::int32_t> y(static_cast<std::size_t>(m) * n, -7);
+    kernel::GemmView g{.w_panel = wp.data(),
+                       .x_panel = xp.data(),
+                       .bias = bias.data(),
+                       .m = m,
+                       .n = n,
+                       .depth = depth,
+                       .rq = rq,
+                       .out = out,
+                       .y = y.data(),
+                       .y_stride_m = channel_major ? n : 1,
+                       .y_stride_n = channel_major ? 1 : m};
+    for (std::size_t t = 0; t < tiles; ++t) gemm(g, t, t + 1);
+    std::vector<std::int32_t> whole(y.size(), -7);
+    g.y = whole.data();
+    gemm(g, 0, tiles);
+    EXPECT_EQ(y, whole) << "tile-by-tile and whole-range runs differ";
+    return y;
+  }
+};
+
+GemmProblem make_gemm(Rng& rng, int m, int n, int depth, int bits,
+                      bool channel_major) {
+  GemmProblem p{m, n, depth, bits, channel_major, {}, {}, {}, {}, {}};
+  p.w = random_weights(rng, static_cast<std::size_t>(m) * depth);
+  p.x = random_codes(rng, bits, static_cast<std::size_t>(depth) * n);
+  p.bias = random_codes(rng, 20, static_cast<std::size_t>(m));
+  // Scale so typical outputs land mid-bus and the extremes saturate.
+  const double typical = std::ldexp(1.0, bits - 1) * 64.0 * std::sqrt(depth);
+  p.rq = Dyadic::from_real(200.0 / typical);
+  p.out = bus_bounds(8, true);
+  return p;
+}
+
+TEST(SimdGemmDifferential, ReferenceMatchesPlainLoopOverUnpackedOperands) {
+  // The oracle reads the packed panels, so it also proves both packers.
+  Rng rng(0x6E3);
+  for (const bool channel_major : {false, true}) {
+    for (const int m : {1, 3, 4, 17}) {
+      for (const int n : {1, 5, 8, 13}) {
+        for (const int depth : {1, 2, 7, 33}) {
+          const GemmProblem p = make_gemm(rng, m, n, depth, 8, channel_major);
+          EXPECT_EQ(p.naive(), p.run(kernel::gemm_reference))
+              << "m=" << m << " n=" << n << " depth=" << depth
+              << " channel_major=" << channel_major;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdGemmDifferential, DispatchedGemmMatchesOracleOnTailsAndExtremes) {
+  const auto backends = available_simd_backends();
+  GQA_SKIP_WITHOUT_SIMD_BACKEND(backends);
+  Rng rng(0x6E4);
+  for (const KernelBackend* backend : backends) {
+    ASSERT_NE(backend->ops.gemm, nullptr) << backend->name;
+    for (const bool channel_major : {false, true}) {
+      for (const int m : {1, 3, 4, 17}) {
+        for (const int n : {1, 5, 8, 13, 17}) {
+          for (const int depth : {1, 2, 7, 33, 147}) {
+            GemmProblem p = make_gemm(rng, m, n, depth, 8, channel_major);
+            // shift 0 (a large ratio) takes the epilogue's no-rounding path.
+            if (depth == 7) p.rq = Dyadic::from_real(40000.0);
+            ASSERT_TRUE(kernel::int32_accumulation_exact(
+                bus_bounds(8, true),
+                kernel::max_row_abs_sum(p.w, m, depth)));
+            EXPECT_EQ(p.run(kernel::gemm_reference), p.run(backend->ops.gemm))
+                << backend->name << " m=" << m << " n=" << n
+                << " depth=" << depth << " channel_major=" << channel_major;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdGemmDifferential, SixteenBitGateIsTight) {
+  // All codes -2^15 against all weights -128: the row sum is exactly
+  // 2^22·depth. depth 511 is the widest reduction the gate admits, and its
+  // sum still fits int32; at depth 512 it reaches 2^31 and the gate refuses.
+  const auto backends = available_simd_backends();
+  const BusBounds bus16 = bus_bounds(16, true);
+  for (const int depth : {511, 512}) {
+    for (const bool channel_major : {false, true}) {
+      Rng rng(0x6E5);
+      GemmProblem p = make_gemm(rng, 3, 9, depth, 16, channel_major);
+      std::fill(p.w.begin(), p.w.end(), std::int8_t{-128});
+      std::fill(p.x.begin(), p.x.end(), static_cast<std::int32_t>(bus16.lo));
+      p.rq = Dyadic::from_real(1.0 / 65536.0);
+      p.out = bus_bounds(16, true);
+      const bool exact = kernel::int32_accumulation_exact(
+          bus16, kernel::max_row_abs_sum(p.w, p.m, depth));
+      EXPECT_EQ(exact, depth == 511);
+      EXPECT_EQ(p.naive(), p.run(kernel::gemm_reference)) << "depth=" << depth;
+      if (!exact) continue;
+      for (const KernelBackend* backend : backends) {
+        EXPECT_EQ(p.run(kernel::gemm_reference), p.run(backend->ops.gemm))
+            << backend->name << " depth=" << depth;
+      }
+    }
+  }
+  // Codes that do not fit an int16 lane never pass.
+  EXPECT_FALSE(kernel::int32_accumulation_exact(bus_bounds(17, true), 1));
+  EXPECT_FALSE(kernel::int32_accumulation_exact(bus_bounds(16, false), 1));
+}
+
+/// One depthwise problem: zero-padded planes with the kernels' slack.
+struct DepthwiseProblem {
+  int channels, h, w, kernel, stride, pad;
+  std::vector<std::int32_t> padded;
+  std::vector<std::int8_t> taps;
+  std::vector<std::int32_t> bias;
+  Dyadic rq;
+  BusBounds out;
+
+  [[nodiscard]] int hp() const { return h + 2 * pad; }
+  [[nodiscard]] int wp() const { return w + 2 * pad; }
+  [[nodiscard]] int oh() const { return (hp() - kernel) / stride + 1; }
+  [[nodiscard]] int ow() const { return (wp() - kernel) / stride + 1; }
+
+  template <typename Fn>
+  [[nodiscard]] std::vector<std::int32_t> run(const Fn& fn) const {
+    std::vector<std::int32_t> y(static_cast<std::size_t>(channels) * oh() * ow(), -7);
+    const kernel::DepthwiseView d{.x = padded.data(),
+                                  .hp = hp(),
+                                  .wp = wp(),
+                                  .w = taps.data(),
+                                  .bias = bias.data(),
+                                  .kernel = kernel,
+                                  .stride = stride,
+                                  .oh = oh(),
+                                  .ow = ow(),
+                                  .rq = rq,
+                                  .out = out,
+                                  .y = y.data()};
+    fn(d, 0, static_cast<std::size_t>(channels));
+    return y;
+  }
+};
+
+DepthwiseProblem make_depthwise(Rng& rng, int h, int w, int kernel, int stride,
+                                int bits) {
+  DepthwiseProblem p{3, h, w, kernel, stride, 1, {}, {}, {}, {}, {}};
+  const std::size_t plane = static_cast<std::size_t>(p.hp()) * p.wp();
+  p.padded.assign(p.channels * plane + kernel::kDepthwiseSlackWords, 0);
+  const std::vector<std::int32_t> codes =
+      random_codes(rng, bits, static_cast<std::size_t>(p.channels) * h * w);
+  for (int c = 0; c < p.channels; ++c) {
+    for (int y = 0; y < h; ++y) {
+      std::copy_n(codes.begin() + (static_cast<std::ptrdiff_t>(c) * h + y) * w, w,
+                  p.padded.begin() + static_cast<std::ptrdiff_t>(
+                                         c * plane + (y + 1) * p.wp() + 1));
+    }
+  }
+  p.taps = random_weights(rng, static_cast<std::size_t>(p.channels) * kernel * kernel);
+  p.bias = random_codes(rng, 20, static_cast<std::size_t>(p.channels));
+  p.rq = Dyadic::from_real(200.0 / (std::ldexp(1.0, bits - 1) * 64.0 * kernel));
+  p.out = bus_bounds(8, true);
+  return p;
+}
+
+TEST(SimdGemmDifferential, DispatchedDepthwiseMatchesOracle) {
+  const auto backends = available_simd_backends();
+  GQA_SKIP_WITHOUT_SIMD_BACKEND(backends);
+  Rng rng(0xD3E);
+  for (const KernelBackend* backend : backends) {
+    ASSERT_NE(backend->ops.depthwise, nullptr) << backend->name;
+    for (const int stride : {1, 2, 3}) {  // 3 takes the oracle fallback
+      for (const int kernel : {1, 3, 5}) {
+        for (const int w : {1, 2, 7, 8, 9, 16, 17, 31}) {
+          for (const int bits : {8, 16}) {
+            const int h = 2 + w % 5;
+            if (w + 2 < kernel || h + 2 < kernel) continue;
+            const DepthwiseProblem p =
+                make_depthwise(rng, h, w, kernel, stride, bits);
+            EXPECT_EQ(p.run(kernel::depthwise_reference),
+                      p.run(backend->ops.depthwise))
+                << backend->name << " stride=" << stride << " k=" << kernel
+                << " w=" << w << " bits=" << bits;
           }
         }
       }

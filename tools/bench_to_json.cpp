@@ -11,7 +11,9 @@
 //            bit-identical to the storeless cold fit.
 //   kernel — per-code provider/unit evaluation vs the batched span APIs;
 //            its `kernel_simd` entry times the scalar oracle against the
-//            dispatched SIMD backend, gated on bit-identical outputs.
+//            dispatched SIMD backend per op (the `gemm` row on the models'
+//            Linear/pointwise/dense-conv shapes), gated on bit-identical
+//            outputs.
 //   model  — table4/table5-style end-to-end forward passes (SegFormer and
 //            EfficientViT, int + fp), serial vs threaded pool, gated on
 //            the threaded integer logits matching the serial ones.
@@ -27,6 +29,9 @@
 //            source at 0.5x/1x/2x the measured capacity, reporting
 //            sustained fps, drop counts, and deadline-miss rate, gated on
 //            served frames being bit-identical to serial forwards.
+//
+// Every artifact carries a `host` object (nproc, CPU model, kernel backend,
+// compiler, reps): numbers compare only within one host.
 //
 // Every expected section must be emitted: a skipped or failed section is
 // reported and the tool exits non-zero, so a stale BENCH_*.json can never
@@ -46,6 +51,7 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -66,6 +72,7 @@
 #include "gqa/gqa_lut.h"
 #include "gqa/objective.h"
 #include "kernel/dispatch.h"
+#include "kernel/gemm.h"
 #include "tfm/models/efficientvit.h"
 #include "tfm/models/segformer.h"
 #include "tfm/nonlinear_provider.h"
@@ -248,6 +255,79 @@ Json fit_report(int reps, bool& bit_identical) {
   return j;
 }
 
+/// The packed integer GEMM on the models' real layer shapes (m output
+/// rows, n columns, depth), scalar oracle vs the dispatched op over the
+/// same pre-packed panels, gated on identical output codes.
+Json gemm_row(int reps, bool& bit_identical) {
+  struct LayerShape {
+    const char* layer;
+    int m, n, depth;
+  };
+  const std::vector<LayerShape> shapes = {
+      {"segformer stage-1 fc1 (Linear)", 128, 256, 32},
+      {"segformer head fuse (Linear)", 256, 256, 1024},
+      {"segformer stage-1 patch embed (dense 7x7)", 32, 256, 147},
+      {"segformer stage-1 reduction (dense 8x8/s8)", 32, 4, 2048},
+      {"efficientvit stage-1 expand (pointwise)", 48, 1024, 12},
+      {"efficientvit stage-3 expand (pointwise)", 192, 64, 48},
+  };
+  const kernel::KernelOps& ops = kernel::active().ops;
+  Rng rng(0x6E33);
+  double scalar_ms = 0.0, simd_ms = 0.0, macs = 0.0;
+  bool identical = true;
+  Json layers = Json::array();
+  for (const LayerShape& s : shapes) {
+    std::vector<std::int8_t> w(static_cast<std::size_t>(s.m) * s.depth);
+    for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    std::vector<std::int32_t> x(static_cast<std::size_t>(s.depth) * s.n);
+    for (auto& v : x) v = static_cast<std::int32_t>(rng.uniform_int(-128, 127));
+    std::vector<std::int32_t> bias(static_cast<std::size_t>(s.m), 3);
+    const std::vector<std::int8_t> wp = kernel::pack_gemm_weights(w, s.m, s.depth);
+    std::vector<std::int32_t> xp(kernel::gemm_x_panel_words(s.depth, s.n), 0);
+    const std::size_t tiles = kernel::gemm_tiles(s.n);
+    kernel::pack_gemm_x(x.data(), 1, s.depth, s.depth, s.n, xp.data(), 0, tiles);
+    std::vector<std::int32_t> ref(static_cast<std::size_t>(s.m) * s.n);
+    std::vector<std::int32_t> got(ref.size());
+    kernel::GemmView g{.w_panel = wp.data(),
+                       .x_panel = xp.data(),
+                       .bias = bias.data(),
+                       .m = s.m,
+                       .n = s.n,
+                       .depth = s.depth,
+                       .rq = Dyadic::from_real(1.0 / (64.0 * s.depth)),
+                       .out = bus_bounds(8, true),
+                       .y = ref.data(),
+                       .y_stride_m = 1,
+                       .y_stride_n = s.m};
+    const double one_scalar =
+        time_best_ms(reps, [&] { kernel::gemm_reference(g, 0, tiles); });
+    g.y = got.data();
+    double one_simd = one_scalar;
+    if (ops.gemm != nullptr) {
+      one_simd = time_best_ms(reps, [&] { ops.gemm(g, 0, tiles); });
+      identical = identical && ref == got;
+    }
+    scalar_ms += one_scalar;
+    simd_ms += one_simd;
+    macs += static_cast<double>(s.m) * s.n * s.depth;
+    Json l = Json::object();
+    l["layer"] = Json(s.layer);
+    l["m"] = Json(s.m);
+    l["n"] = Json(s.n);
+    l["depth"] = Json(s.depth);
+    l["speedup"] = Json(one_scalar / one_simd);
+    layers.push_back(std::move(l));
+  }
+  Json r = Json::object();
+  r["scalar_ns_per_mac"] = Json(scalar_ms * 1e6 / macs);
+  r["dispatched_ns_per_mac"] = Json(simd_ms * 1e6 / macs);
+  r["speedup"] = Json(scalar_ms / simd_ms);
+  r["bit_identical"] = Json(identical);
+  r["shapes"] = std::move(layers);
+  bit_identical = bit_identical && identical;
+  return r;
+}
+
 /// SIMD dispatch microbenchmarks: the dense-table PWL eval (per bus width)
 /// and the integer row kernels timed under the scalar oracle and under the
 /// dispatched backend. Every row is checksum-gated — the dispatched outputs
@@ -385,6 +465,7 @@ Json kernel_simd_section(int reps, bool& bit_identical) {
     }
     j["max_i32"] = op_json(scalar_ms, simd_ms, identical);
   }
+  j["gemm"] = gemm_row(reps, bit_identical);
   return j;
 }
 
@@ -1117,6 +1198,26 @@ Json serve_report(int reps, bool& bit_identical) {
   return j;
 }
 
+/// The host every BENCH_*.json number came from: numbers are only
+/// comparable within one host, backend, compiler and rep count.
+Json host_json(int reps) {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      cpu = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  Json j = Json::object();
+  j["nproc"] = Json(static_cast<int>(std::thread::hardware_concurrency()));
+  j["cpu"] = Json(cpu);
+  j["kernel_backend"] = Json(kernel::active().name);
+  j["compiler"] = Json(__VERSION__);
+  j["reps"] = Json(reps);
+  return j;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1144,7 +1245,8 @@ int main(int argc, char** argv) {
                                  const std::vector<std::string>& nested,
                                  const std::function<Json()>& build) {
     try {
-      const Json j = build();
+      Json j = build();
+      j["host"] = host_json(reps);
       write_file(out_dir + "/" + std::string(file), j.dump() + "\n");
       std::printf("%s\n", j.dump().c_str());
       emitted.push_back(name);
