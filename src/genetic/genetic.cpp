@@ -1,7 +1,6 @@
 #include "genetic/genetic.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -13,9 +12,14 @@
 namespace gqa {
 
 std::string genome_key(const Genome& genome) {
-  std::string key(genome.size() * sizeof(double), '\0');
-  if (!genome.empty()) std::memcpy(key.data(), genome.data(), key.size());
+  std::string key;
+  assign_genome_key(genome, key);
   return key;
+}
+
+void assign_genome_key(const Genome& genome, std::string& key) {
+  key.assign(reinterpret_cast<const char*>(genome.data()),
+             genome.size() * sizeof(double));
 }
 
 GeneticOptimizer::GeneticOptimizer(GaConfig config) : config_(config) {
@@ -63,6 +67,7 @@ GaResult GeneticOptimizer::run(const InitFn& init, const FitnessFn& fitness,
   result.history.reserve(static_cast<std::size_t>(config_.generations));
 
   std::vector<double> scores(pop_size);
+  std::vector<Genome> next(pop_size);
 
   ThreadPool pool(config_.num_threads);
   // Memo cache across generations: elites are re-injected verbatim and
@@ -80,7 +85,7 @@ GaResult GeneticOptimizer::run(const InitFn& init, const FitnessFn& fitness,
         pending.clear();
         if (config_.memoize_fitness) {
           for (std::size_t i = 0; i < pop_size; ++i) {
-            keys[i] = genome_key(population[i]);
+            assign_genome_key(population[i], keys[i]);
             const auto it = memo.find(keys[i]);
             if (it != memo.end()) {
               scores[i] = it->second;
@@ -142,19 +147,20 @@ GaResult GeneticOptimizer::run(const InitFn& init, const FitnessFn& fitness,
     if (hook) hook(gen, population, scores);
 
     // Tournament selection (Alg. 1 line 18) into the next generation, with
-    // the global elite re-injected so progress is never lost.
-    std::vector<Genome> next;
-    next.reserve(pop_size);
-    for (int e = 0; e < config_.elite_count; ++e) next.push_back(result.best);
-    while (next.size() < pop_size) {
+    // the global elite re-injected so progress is never lost. `next` is a
+    // second buffer swapped with `population`: copy-assignment reuses each
+    // genome's storage, so selection allocates nothing after generation 0.
+    const auto elites = static_cast<std::size_t>(config_.elite_count);
+    for (std::size_t k = 0; k < elites; ++k) next[k] = result.best;
+    for (std::size_t k = elites; k < pop_size; ++k) {
       std::size_t winner = rng.index(pop_size);
       for (int t = 1; t < config_.tournament_size; ++t) {
         const std::size_t challenger = rng.index(pop_size);
         if (scores[challenger] < scores[winner]) winner = challenger;
       }
-      next.push_back(population[winner]);
+      next[k] = population[winner];
     }
-    population = std::move(next);
+    population.swap(next);
   }
 
   GQA_ENSURES(!result.best.empty() || config_.generations == 0);

@@ -40,6 +40,9 @@ using Genome = std::vector<double>;
 /// Distinct bit patterns hash apart; -0.0 vs 0.0 merely costs a redundant
 /// evaluation, never a wrong score.
 [[nodiscard]] std::string genome_key(const Genome& genome);
+/// Writes genome_key(genome) into `key`, reusing its capacity: the hot
+/// loops keep one key buffer per slot instead of allocating per genome.
+void assign_genome_key(const Genome& genome, std::string& key);
 /// Fitness: lower is better (the paper uses MSE).
 using FitnessFn = std::function<double(const Genome&)>;
 /// In-place mutation of one genome.

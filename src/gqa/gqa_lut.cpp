@@ -174,6 +174,7 @@ GqaFitResult fit_gqa_lut(const GqaConfig& config) {
   }
   PopulationHook hook;
   std::unordered_set<std::string> archived;
+  std::string key;  // reused across genomes; a set insert copies it
   if (config.per_scale_champions) {
     // A genome already archived contributes nothing new (its per-scale MSEs
     // are unchanged and the archive only improves on strict <), so skip
@@ -181,13 +182,12 @@ GqaFitResult fit_gqa_lut(const GqaConfig& config) {
     // late generations. Gated on the same knob as fitness memoization so
     // the serial seed path stays available for benchmarking.
     const bool dedupe = config.ga.memoize_fitness;
-    hook = [&archive, &archived, &deployed_per_scale, &per_scale_mutex,
+    hook = [&archive, &archived, &key, &deployed_per_scale, &per_scale_mutex,
             &per_scale_stash, dedupe, share_per_scale](
                int, const std::vector<Genome>& population,
                const std::vector<double>&) {
       for (const Genome& g : population) {
-        std::string key;
-        if (dedupe || share_per_scale) key = genome_key(g);
+        if (dedupe || share_per_scale) assign_genome_key(g, key);
         if (dedupe && !archived.insert(key).second) continue;
         std::vector<double> mses;
         if (share_per_scale) {

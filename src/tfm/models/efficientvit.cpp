@@ -208,8 +208,8 @@ void EfficientViTB0Like::freeze() {
   }
   // Concat requantization onto a shared scale.
   fuse_qp_ = fuse_obs_.make_params(policy.act_bits);
-  rq_f3_ = Requantizer(f3_qp.scale, fuse_qp_);
-  rq_f4_ = Requantizer(qp.scale, fuse_qp_);
+  rq_f3_ = CodeTable(f3_qp, Requantizer(f3_qp.scale, fuse_qp_));
+  rq_f4_ = CodeTable(qp, Requantizer(qp.scale, fuse_qp_));
   qp = head_conv_->freeze(fuse_qp_, policy);
   qp = head_act_.freeze(qp, policy);
   (void)classifier_->freeze(qp, policy);
@@ -245,10 +245,8 @@ QTensor EfficientViTB0Like::forward_int(const Tensor& image,
     x = evit3_.ffn->forward_int(sum, nl, ctx);
     ws_release(ctx.ws, std::move(sum));
   }
-  const QTensor f3 = x;
-  t = stage4_->forward_int(x, nl, ctx);
-  ws_release(ctx.ws, std::move(x));
-  x = std::move(t);
+  QTensor f3 = std::move(x);
+  x = stage4_->forward_int(f3, nl, ctx);
   {
     QTensor a = attn_tokens(
         [this, &nl, &ctx](const QTensor& tk) {
@@ -261,25 +259,24 @@ QTensor EfficientViTB0Like::forward_int(const Tensor& image,
     x = evit4_.ffn->forward_int(sum, nl, ctx);
     ws_release(ctx.ws, std::move(sum));
   }
-  // Integer concat on the shared fuse scale.
-  QTensor f4_up = upsample2x(x, ctx.ws);
-  ws_release(ctx.ws, std::move(x));
+  // Integer concat on the shared fuse scale: f3's planes through one
+  // gather, then f4 requantized and 2x nearest-upsampled in the same pass.
+  const int c3 = f3.shape()[0];
   const int h = f3.shape()[1];
   const int w = f3.shape()[2];
-  const int c3 = f3.shape()[0];
-  const int c4 = f4_up.shape()[0];
+  const int c4 = x.shape()[0];
+  const int h4 = x.shape()[1];
+  const int w4 = x.shape()[2];
+  GQA_EXPECTS(2 * h4 == h && 2 * w4 == w);
   QTensor fused = ws_qtensor(ctx.ws, Shape{c3 + c4, h, w}, fuse_qp_);
-  for (int c = 0; c < c3; ++c)
-    for (int yy = 0; yy < h; ++yy)
-      for (int xx = 0; xx < w; ++xx)
-        fused.at(c, yy, xx) =
-            static_cast<std::int32_t>(rq_f3_.apply(f3.at(c, yy, xx)));
+  const std::size_t f3_codes = f3.data().size();
+  rq_f3_.gather(f3.data(), std::span(fused.data()).first(f3_codes));
+  ws_release(ctx.ws, std::move(f3));
+  std::int32_t* dst = fused.data().data() + f3_codes;
   for (int c = 0; c < c4; ++c)
     for (int yy = 0; yy < h; ++yy)
-      for (int xx = 0; xx < w; ++xx)
-        fused.at(c3 + c, yy, xx) =
-            static_cast<std::int32_t>(rq_f4_.apply(f4_up.at(c, yy, xx)));
-  ws_release(ctx.ws, std::move(f4_up));
+      for (int xx = 0; xx < w; ++xx) *dst++ = rq_f4_(x.at(c, yy / 2, xx / 2));
+  ws_release(ctx.ws, std::move(x));
   QTensor conv = head_conv_->forward_int(fused, ctx);
   ws_release(ctx.ws, std::move(fused));
   QTensor feat = head_act_.forward_int(conv, nl, ctx);

@@ -88,7 +88,7 @@ class EfficientViTB0Like {
   RangeObserver input_obs_;
   mutable RangeObserver fuse_obs_;
   QuantParams input_qp_, fuse_qp_;
-  Requantizer rq_f3_, rq_f4_;
+  CodeTable rq_f3_, rq_f4_;  ///< concat requantizers onto fuse_qp_
   bool frozen_ = false;
 };
 

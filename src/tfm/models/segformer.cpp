@@ -1,5 +1,6 @@
 #include "tfm/models/segformer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tfm/probe.h"
@@ -9,31 +10,27 @@ namespace gqa::tfm {
 
 namespace {
 
-/// Nearest-neighbour upsample of a {C,h,w} map to {C,H,W} (integer-exact:
-/// codes are replicated, scales unchanged).
-template <typename T>
-T upsample_nearest(const T& x, int out_h, int out_w,
-                   Workspace* ws = nullptr) {
-  const int c = x.shape()[0];
-  const int h = x.shape()[1];
-  const int w = x.shape()[2];
-  T y = [&] {
-    if constexpr (std::is_same_v<T, QTensor>) {
-      return ws_qtensor(ws, Shape{c, out_h, out_w}, x.params());
-    } else {
-      return ws_tensor(ws, Shape{c, out_h, out_w});
-    }
-  }();
-  for (int ch = 0; ch < c; ++ch) {
-    for (int oy = 0; oy < out_h; ++oy) {
-      const int iy = oy * h / out_h;
-      for (int ox = 0; ox < out_w; ++ox) {
-        const int ix = ox * w / out_w;
-        y.at(ch, oy, ox) = x.at(ch, iy, ix);
-      }
+/// Nearest-neighbour upsample of one stage's head tokens {h·w, d} onto
+/// the {oh·ow, 4d} fused token matrix, stage s's columns [s·d, (s+1)·d):
+/// write_row(src, dst) fills the d codes of each output pixel from its
+/// source token row, so the copy (fp) or requantization (int) happens in
+/// the same pass.
+template <typename T, typename WriteRow>
+void upsample_into_columns(const T& proj, int h, int w, int s, T& fused,
+                           int oh, int ow, const WriteRow& write_row) {
+  const auto d = static_cast<std::size_t>(proj.shape()[1]);
+  GQA_EXPECTS(proj.shape()[0] == h * w && fused.shape()[0] == oh * ow &&
+              static_cast<std::size_t>(fused.shape()[1]) == 4 * d);
+  const auto* src = proj.data().data();
+  auto* dst = fused.data().data() + static_cast<std::size_t>(s) * d;
+  for (int oy = 0; oy < oh; ++oy) {
+    const int iy = oy * h / oh;
+    for (int ox = 0; ox < ow; ++ox) {
+      const int ix = ox * w / ow;
+      write_row(src + static_cast<std::size_t>(iy * w + ix) * d, dst, d);
+      dst += 4 * d;
     }
   }
-  return y;
 }
 
 }  // namespace
@@ -88,7 +85,8 @@ Tensor SegformerB0Like::penultimate_fp(const Tensor& image,
   GQA_EXPECTS(image.shape().rank() == 3 &&
               image.shape()[0] == config_.in_channels);
   Tensor x = image;
-  std::vector<Tensor> features;
+  std::vector<HeadInput<Tensor>> features;  // each stage's normed tokens
+  features.reserve(stages_.size());
   for (const Stage& stage : stages_) {
     Tensor map = stage.patch_embed->forward_fp(x, ctx);
     if (&stage != &stages_.front()) ws_release(ctx.ws, std::move(x));
@@ -116,36 +114,25 @@ Tensor SegformerB0Like::penultimate_fp(const Tensor& image,
     }
     Tensor normed = stage.out_norm->forward_fp(tokens, ctx);
     ws_release(ctx.ws, std::move(tokens));
-    x = from_tokens(normed, h, w, ctx.ws);
-    ws_release(ctx.ws, std::move(normed));
-    features.push_back(x);
+    if (&stage != &stages_.back()) x = from_tokens(normed, h, w, ctx.ws);
+    features.push_back({std::move(normed), h, w});
   }
 
   // Decode head at 1/4 resolution.
-  const int oh = features[0].shape()[1];
-  const int ow = features[0].shape()[2];
+  const int oh = features[0].h;
+  const int ow = features[0].w;
   Tensor fused = ws_tensor(ctx.ws, Shape{oh * ow, 4 * config_.decoder_dim});
   for (int s = 0; s < 4; ++s) {
-    Tensor& feat = features[static_cast<std::size_t>(s)];
-    Tensor feat_tokens = to_tokens(feat, ctx.ws);
+    HeadInput<Tensor>& feat = features[static_cast<std::size_t>(s)];
     Tensor proj = head_linears_[static_cast<std::size_t>(s)]->forward_fp(
-        feat_tokens, ctx);
-    ws_release(ctx.ws, std::move(feat_tokens));
+        feat.tokens, ctx);
+    ws_release(ctx.ws, std::move(feat.tokens));
     if (ctx.calibrating) head_obs_.observe(std::span<const float>(proj.data()));
-    Tensor proj_map =
-        from_tokens(proj, feat.shape()[1], feat.shape()[2], ctx.ws);
+    upsample_into_columns(proj, feat.h, feat.w, s, fused, oh, ow,
+                          [](const float* src, float* dst, std::size_t d) {
+                            std::copy_n(src, d, dst);
+                          });
     ws_release(ctx.ws, std::move(proj));
-    Tensor up = upsample_nearest(proj_map, oh, ow, ctx.ws);
-    ws_release(ctx.ws, std::move(proj_map));
-    Tensor up_tokens = to_tokens(up, ctx.ws);
-    ws_release(ctx.ws, std::move(up));
-    for (int i = 0; i < oh * ow; ++i) {
-      for (int d = 0; d < config_.decoder_dim; ++d) {
-        fused.at(i, s * config_.decoder_dim + d) = up_tokens.at(i, d);
-      }
-    }
-    ws_release(ctx.ws, std::move(up_tokens));
-    ws_release(ctx.ws, std::move(feat));
   }
   Tensor y = head_fuse_->forward_fp(fused, ctx);
   ws_release(ctx.ws, std::move(fused));
@@ -219,7 +206,7 @@ void SegformerB0Like::freeze() {
                                     ->freeze(feature_qps[static_cast<std::size_t>(s)],
                                              policy_head);
     head_rq_[static_cast<std::size_t>(s)] =
-        Requantizer(proj_qp.scale, head_qp_);
+        CodeTable(proj_qp, Requantizer(proj_qp.scale, head_qp_));
   }
   QuantParams y_qp = head_fuse_->freeze(fused_qp, policy_head);
   (void)head_classifier_->freeze(y_qp, policy_head);
@@ -232,7 +219,8 @@ QTensor SegformerB0Like::forward_int(const Tensor& image,
   GQA_EXPECTS_MSG(frozen_, "forward_int() requires freeze()");
   const ExecContext ctx{pool, ws};
   QTensor x = QTensor::quantize(image, input_qp_);
-  std::vector<QTensor> features;
+  std::vector<HeadInput<QTensor>> features;  // each stage's normed tokens
+  features.reserve(stages_.size());
   for (const Stage& stage : stages_) {
     QTensor map = stage.patch_embed->forward_int(x, ctx);
     ws_release(ctx.ws, std::move(x));
@@ -260,42 +248,27 @@ QTensor SegformerB0Like::forward_int(const Tensor& image,
     }
     QTensor normed = stage.out_norm->forward_int(tokens, nl, ctx);
     ws_release(ctx.ws, std::move(tokens));
-    x = from_tokens(normed, h, w, ctx.ws);
-    ws_release(ctx.ws, std::move(normed));
-    features.push_back(x);
+    if (&stage != &stages_.back()) x = from_tokens(normed, h, w, ctx.ws);
+    features.push_back({std::move(normed), h, w});
   }
 
-  const int oh = features[0].shape()[1];
-  const int ow = features[0].shape()[2];
+  const int oh = features[0].h;
+  const int ow = features[0].w;
   QTensor fused = ws_qtensor(ctx.ws, Shape{oh * ow, 4 * config_.decoder_dim},
                              head_qp_);
   for (int s = 0; s < 4; ++s) {
-    QTensor& feat = features[static_cast<std::size_t>(s)];
-    QTensor feat_tokens = to_tokens(feat, ctx.ws);
+    HeadInput<QTensor>& feat = features[static_cast<std::size_t>(s)];
     QTensor proj = head_linears_[static_cast<std::size_t>(s)]->forward_int(
-        feat_tokens, ctx);
-    ws_release(ctx.ws, std::move(feat_tokens));
-    // Requantize onto the common head scale, then upsample codes.
-    QTensor aligned = ws_qtensor(ctx.ws, proj.shape(), head_qp_);
-    for (std::size_t i = 0; i < proj.data().size(); ++i) {
-      aligned.data()[i] = static_cast<std::int32_t>(
-          head_rq_[static_cast<std::size_t>(s)].apply(proj.data()[i]));
-    }
+        feat.tokens, ctx);
+    ws_release(ctx.ws, std::move(feat.tokens));
+    // Requantize onto the common head scale while upsampling.
+    const CodeTable& rq = head_rq_[static_cast<std::size_t>(s)];
+    upsample_into_columns(
+        proj, feat.h, feat.w, s, fused, oh, ow,
+        [&rq](const std::int32_t* src, std::int32_t* dst, std::size_t d) {
+          rq.gather({src, d}, {dst, d});
+        });
     ws_release(ctx.ws, std::move(proj));
-    QTensor aligned_map =
-        from_tokens(aligned, feat.shape()[1], feat.shape()[2], ctx.ws);
-    ws_release(ctx.ws, std::move(aligned));
-    QTensor up = upsample_nearest(aligned_map, oh, ow, ctx.ws);
-    ws_release(ctx.ws, std::move(aligned_map));
-    QTensor up_tokens = to_tokens(up, ctx.ws);
-    ws_release(ctx.ws, std::move(up));
-    for (int i = 0; i < oh * ow; ++i) {
-      for (int d = 0; d < config_.decoder_dim; ++d) {
-        fused.at(i, s * config_.decoder_dim + d) = up_tokens.at(i, d);
-      }
-    }
-    ws_release(ctx.ws, std::move(up_tokens));
-    ws_release(ctx.ws, std::move(feat));
   }
   QTensor y = head_fuse_->forward_int(fused, ctx);
   ws_release(ctx.ws, std::move(fused));

@@ -82,6 +82,12 @@ class SegformerB0Like {
     std::unique_ptr<MixFfn> ffn;
     ResidualAdd add1, add2;
   };
+  /// One stage's output for the decode head: its normed tokens {h·w, C}.
+  template <typename T>
+  struct HeadInput {
+    T tokens;
+    int h = 0, w = 0;
+  };
   struct Stage {
     std::unique_ptr<Conv2d> patch_embed;
     std::unique_ptr<LayerNorm> embed_norm;
@@ -93,16 +99,18 @@ class SegformerB0Like {
   SegformerConfig config_;
   std::vector<Stage> stages_;
   // All-MLP decode head: per-stage linear to decoder_dim, nearest-neighbour
-  // upsample to 1/4 resolution, concat, fuse, classify.
+  // upsample to 1/4 resolution, concat, fuse, classify. Each stage's
+  // upsample writes straight into its columns of the fused token matrix.
   std::vector<std::unique_ptr<Linear>> head_linears_;
   std::unique_ptr<Linear> head_fuse_;
   std::unique_ptr<Linear> head_classifier_;
   RangeObserver input_obs_;
   QuantParams input_qp_;
-  // Common scale the upsampled per-stage features are requantized onto.
+  // Common scale the upsampled per-stage features are requantized onto;
+  // head_rq_[s] is stage s's requantizer as a code table.
   mutable RangeObserver head_obs_;
   QuantParams head_qp_;
-  std::vector<Requantizer> head_rq_;
+  std::vector<CodeTable> head_rq_;
   bool frozen_ = false;
 };
 

@@ -635,39 +635,56 @@ QuantParams Activation::freeze(const QuantParams& in_qp,
   GQA_EXPECTS_MSG(!out_obs_.empty(), "freeze() requires prior calibration");
   GQA_EXPECTS_MSG(in_qp.scale_is_po2(),
                   "activation input scale must be a power of two (§3.1)");
+  (void)table_domain_size(in_qp);
   in_qp_ = in_qp;
   out_qp_ = out_obs_.make_params(policy.act_bits);
   return out_qp_;
 }
 
-QTensor Activation::forward_int(const QTensor& x, const NonlinearProvider& nl,
-                                const ExecContext& ctx) const {
-  GQA_EXPECTS_MSG(x.params() == in_qp_, "input params differ from freeze()");
-  const int sx = x.params().po2_exponent();
-  QTensor y = ws_qtensor(ctx.ws, x.shape(), out_qp_);
-  // Batched activation threaded over contiguous slabs: each slab streams
-  // through the dense segment table in one span call (batched ==
-  // per-element bit-identical, so any split is exact). The staging buffers
-  // are allocated before the fan-out on the calling thread; workers only
-  // write disjoint ranges of them.
-  const std::size_t count = x.data().size();
-  std::vector<std::int64_t> codes = ws_i64(ctx.ws, count);
-  std::vector<double> vals = ws_f64(ctx.ws, count);
-  pooled_for_chunks(ctx.pool, count, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) codes[i] = x.data()[i];
-    const std::span<const std::int64_t> in(codes.data() + lo, hi - lo);
-    const std::span<double> out(vals.data() + lo, hi - lo);
+void Activation::code_table(const NonlinearProvider& nl,
+                            std::span<std::int32_t> table) const {
+  GQA_EXPECTS(table.size() == table_domain_size(in_qp_));
+  const int sx = in_qp_.po2_exponent();
+  // Chunked so the staging stays a small fixed stack buffer at any domain
+  // size; batched == per-element bit-identical, so chunking is exact.
+  constexpr std::size_t kChunk = 256;
+  std::array<std::int64_t, kChunk> codes;
+  std::array<double, kChunk> vals;
+  for (std::size_t lo = 0; lo < table.size(); lo += kChunk) {
+    const std::size_t n = std::min(kChunk, table.size() - lo);
+    for (std::size_t i = 0; i < n; ++i) {
+      codes[i] = in_qp_.qmin() + static_cast<std::int64_t>(lo + i);
+    }
+    const std::span<const std::int64_t> in(codes.data(), n);
+    const std::span<double> out(vals.data(), n);
     if (op_ == Op::kGelu) {
       nl.gelu_codes(in, sx, out);
     } else {
       nl.hswish_codes(in, sx, out);
     }
-    for (std::size_t i = lo; i < hi; ++i) {
-      y.data()[i] = static_cast<std::int32_t>(out_qp_.quantize(vals[i]));
+    for (std::size_t i = 0; i < n; ++i) {
+      table[lo + i] = static_cast<std::int32_t>(out_qp_.quantize(vals[i]));
     }
-  }, kMinElemsPerLane);
-  ws_release(ctx.ws, std::move(codes));
-  ws_release(ctx.ws, std::move(vals));
+  }
+}
+
+QTensor Activation::forward_int(const QTensor& x, const NonlinearProvider& nl,
+                                const ExecContext& ctx) const {
+  GQA_EXPECTS_MSG(x.params() == in_qp_, "input params differ from freeze()");
+  // The table is built on the calling thread before the fan-out; workers
+  // only read it and write disjoint ranges of y.
+  std::array<std::int32_t, kMaxTableCodes> storage;
+  const std::span<std::int32_t> table(storage.data(),
+                                      table_domain_size(in_qp_));
+  code_table(nl, table);
+  QTensor y = ws_qtensor(ctx.ws, x.shape(), out_qp_);
+  const std::span<const std::int32_t> xs(x.data());
+  const std::span<std::int32_t> ys(y.data());
+  const auto gather = [&](std::size_t lo, std::size_t hi) {
+    gather_codes(table, in_qp_.qmin(), xs.subspan(lo, hi - lo),
+                 ys.subspan(lo, hi - lo));
+  };
+  pooled_for_chunks(ctx.pool, xs.size(), std::cref(gather), kMinElemsPerLane);
   return y;
 }
 
@@ -695,8 +712,8 @@ QuantParams ResidualAdd::freeze(const QuantParams& a_qp,
   a_qp_ = a_qp;
   b_qp_ = b_qp;
   out_qp_ = out_obs_.make_params(policy.act_bits);
-  rq_a_ = Requantizer(a_qp.scale, out_qp_);
-  rq_b_ = Requantizer(b_qp.scale, out_qp_);
+  rq_a_ = CodeTable(a_qp, Requantizer(a_qp.scale, out_qp_));
+  rq_b_ = CodeTable(b_qp, Requantizer(b_qp.scale, out_qp_));
   return out_qp_;
 }
 
@@ -708,17 +725,16 @@ QTensor ResidualAdd::forward_int(const QTensor& a, const QTensor& b,
   GQA_EXPECTS_MSG(b.params() == b_qp_,
                   "second operand params differ from freeze()");
   QTensor y = ws_qtensor(ctx.ws, a.shape(), out_qp_);
-  pooled_for_chunks(
-      ctx.pool, a.data().size(),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const std::int64_t v =
-              rq_a_.apply(a.data()[i]) + rq_b_.apply(b.data()[i]);
-          y.data()[i] = static_cast<std::int32_t>(
-              saturate(v, out_qp_.bits, out_qp_.is_signed));
-        }
-      },
-      kMinElemsPerLane);
+  const auto add = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const std::int64_t v =
+          std::int64_t{rq_a_(a.data()[i])} + rq_b_(b.data()[i]);
+      y.data()[i] = static_cast<std::int32_t>(
+          saturate(v, out_qp_.bits, out_qp_.is_signed));
+    }
+  };
+  pooled_for_chunks(ctx.pool, a.data().size(), std::cref(add),
+                    kMinElemsPerLane);
   return y;
 }
 

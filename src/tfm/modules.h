@@ -28,6 +28,7 @@
 
 #include "quant/calibration.h"
 #include "quant/requant.h"
+#include "tfm/code_table.h"
 #include "tfm/nonlinear_provider.h"
 #include "tfm/tensor.h"
 #include "tfm/workspace.h"
@@ -208,18 +209,28 @@ class Softmax {
 
 // ---------------------------------------------------------------------------
 
-/// Elementwise activation (GELU or HSWISH) through the provider.
+/// Elementwise activation (GELU or HSWISH) through the provider. The
+/// integer path is a code→code table over the input domain (code_table.h):
+/// the provider is a forward argument, so each forward builds its table on
+/// the calling thread, then gathers one entry per element.
 class Activation {
  public:
   Activation(Op op) : op_(op) {}
 
   [[nodiscard]] Tensor forward_fp(const Tensor& x,
                                   const ExecContext& ctx = {}) const;
+  /// Rejects an input domain over kMaxTableCodes codes.
   QuantParams freeze(const QuantParams& in_qp, const QuantPolicy& policy);
-  /// Threads over leading-dimension rows.
+  /// Threads over contiguous element chunks.
   [[nodiscard]] QTensor forward_int(const QTensor& x,
                                     const NonlinearProvider& nl,
                                     const ExecContext& ctx = {}) const;
+  /// Fills table[i] = out_qp.quantize(op(S·(qmin + i))) over every code of
+  /// the frozen input domain, evaluated through the provider's batched
+  /// gelu_codes/hswish_codes; `table` holds table_domain_size(in_qp)
+  /// entries.
+  void code_table(const NonlinearProvider& nl,
+                  std::span<std::int32_t> table) const;
 
  private:
   Op op_;
@@ -230,7 +241,9 @@ class Activation {
 // ---------------------------------------------------------------------------
 
 /// Integer-safe residual add: both operands are requantized onto the output
-/// scale with dyadic multipliers, then summed with saturation.
+/// scale with dyadic multipliers, then summed with saturation. freeze()
+/// turns each requantizer into a code table, so the forward is two gathers
+/// and a saturating add per element.
 class ResidualAdd {
  public:
   [[nodiscard]] Tensor forward_fp(const Tensor& a, const Tensor& b,
@@ -243,7 +256,7 @@ class ResidualAdd {
  private:
   mutable RangeObserver out_obs_;
   QuantParams a_qp_, b_qp_, out_qp_;
-  Requantizer rq_a_, rq_b_;
+  CodeTable rq_a_, rq_b_;
 };
 
 // ---------------------------------------------------------------------------

@@ -104,6 +104,24 @@ TEST(Segformer, GoldenIntCodes) {
   EXPECT_EQ(code_hash(logits), 0xfe47021f21b4205dULL);
 }
 
+/// GQA w/ RM (8 entries) on every replaceable op — the deployment
+/// provider. The exact-provider goldens above never reach a fitted PWL
+/// unit, so these pin the GQA-LUT codes end to end.
+const NonlinearProvider& gqa_rm_provider() {
+  static const NonlinearProvider nl = NonlinearProvider::with_method(
+      Method::kGqaRm, {Op::kExp, Op::kGelu, Op::kHswish, Op::kDiv, Op::kRsqrt});
+  return nl;
+}
+
+TEST(Segformer, GoldenIntCodesGqaRm) {
+  SegformerB0Like model(small_segformer());
+  const LabeledScene scene = make_scene(SceneOptions{.size = 32}, 21);
+  model.calibrate(scene.image);
+  model.freeze();
+  const QTensor logits = model.forward_int(scene.image, gqa_rm_provider());
+  EXPECT_EQ(code_hash(logits), 0x3875833e59960c39ULL);
+}
+
 TEST(Segformer, IntForwardDeterministic) {
   SegformerB0Like model(small_segformer());
   const LabeledScene scene = make_scene(SceneOptions{.size = 32}, 5);
@@ -175,6 +193,15 @@ TEST(EfficientViT, GoldenIntCodes) {
   const QTensor logits =
       model.forward_int(scene.image, NonlinearProvider::exact());
   EXPECT_EQ(code_hash(logits), 0xe6327b4b3eaab0dfULL);
+}
+
+TEST(EfficientViT, GoldenIntCodesGqaRm) {
+  EfficientViTB0Like model(small_evit());
+  const LabeledScene scene = make_scene(SceneOptions{.size = 32}, 21);
+  model.calibrate(scene.image);
+  model.freeze();
+  const QTensor logits = model.forward_int(scene.image, gqa_rm_provider());
+  EXPECT_EQ(code_hash(logits), 0x32913be184ad8e13ULL);
 }
 
 // ---------------------------------------------------------------- provider

@@ -31,7 +31,10 @@
 //            served frames being bit-identical to serial forwards.
 //
 // Every artifact carries a `host` object (nproc, CPU model, kernel backend,
-// compiler, reps): numbers compare only within one host.
+// compiler, git sha, reps): numbers compare only within one host. Every
+// timed row also carries `<row>_spread` = {min, median, max} over its
+// repeats (or rounds), in the row's own unit, so a gap can be told from
+// noise without a rerun.
 //
 // Every expected section must be emitted: a skipped or failed section is
 // reported and the tool exits non-zero, so a stale BENCH_*.json can never
@@ -41,7 +44,8 @@
 // Usage: bench_to_json [output_dir]   (default: current directory; created
 //                                      if missing)
 // Knobs: GQA_BENCH_GENERATIONS (default 200) bounds the fit comparison;
-//        GQA_BENCH_REPS (default 3) repetitions, best run kept;
+//        GQA_BENCH_REPS (default 3) repetitions, best run kept (the
+//        spread keeps all of them);
 //        GQA_BENCH_THREADS (default 4) lanes for the threaded forwards;
 //        GQA_SERVE_SCENES (default 12) images per serving dispatch.
 #include <algorithm>
@@ -88,16 +92,51 @@ namespace {
 
 using namespace gqa;
 
-/// Best-of-N wall time of `fn` in milliseconds.
+/// Wall time of one call of `fn` in milliseconds.
 template <typename Fn>
-double time_best_ms(int reps, const Fn& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    Timer timer;
-    fn();
-    best = std::min(best, timer.milliseconds());
-  }
-  return best;
+double time_once_ms(const Fn& fn) {
+  Timer timer;
+  fn();
+  return timer.milliseconds();
+}
+
+/// Wall times of `reps` calls of `fn` in milliseconds; a row reports the
+/// best (min_of) and the spread of all of them.
+template <typename Fn>
+std::vector<double> time_reps_ms(int reps, const Fn& fn) {
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) ms.push_back(time_once_ms(fn));
+  return ms;
+}
+
+double min_of(const std::vector<double>& v) {
+  return *std::min_element(v.begin(), v.end());
+}
+
+/// Middle element after sorting — the round statistic of the serving
+/// sections (robust to one-off bursts on a shared box).
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Writes `<key>_spread` = {min, median, max} of `samples` mapped through
+/// `unit` (ms to the row's unit; a rate's min comes from the slowest run).
+template <typename Unit>
+void put_spread(Json& j, const std::string& key,
+                const std::vector<double>& samples, const Unit& unit) {
+  std::vector<double> v;
+  for (double x : samples) v.push_back(unit(x));
+  std::sort(v.begin(), v.end());
+  Json spread = Json::object();
+  spread["min"] = Json(v.front());
+  spread["median"] = Json(v[v.size() / 2]);
+  spread["max"] = Json(v.back());
+  j[key + "_spread"] = std::move(spread);
+}
+void put_spread(Json& j, const std::string& key,
+                const std::vector<double>& samples) {
+  put_spread(j, key, samples, [](double x) { return x; });
 }
 
 /// INT8 deployment grids (the Table 1 activation sweep) or INT16 grids
@@ -138,35 +177,42 @@ Json width_report(int input_bits, int generations, int reps) {
     genomes.push_back(std::move(g));
   }
   double sink = 0.0;
-  const double naive_ms = time_best_ms(reps, [&] {
+  const std::vector<double> naive = time_reps_ms(reps, [&] {
     for (const Genome& g : genomes) {
       for (double m : objective.per_scale_mse_naive(g)) sink += m;
     }
   });
-  const double prefix_ms = time_best_ms(reps, [&] {
+  const std::vector<double> prefix = time_reps_ms(reps, [&] {
     for (const Genome& g : genomes) {
       for (double m : objective.per_scale_mse(g)) sink += m;
     }
   });
 
   // End-to-end fit: seed-equivalent serial scan vs the full engine.
-  const double fit_seed_ms = time_best_ms(reps, [&] {
+  const std::vector<double> fit_seed = time_reps_ms(reps, [&] {
     sink += fit_gqa_lut(fit_config(false, generations, input_bits)).fxp_mse;
   });
-  const double fit_fast_ms = time_best_ms(reps, [&] {
+  const std::vector<double> fit_fast = time_reps_ms(reps, [&] {
     sink += fit_gqa_lut(fit_config(true, generations, input_bits)).fxp_mse;
   });
+  const double naive_ms = min_of(naive), prefix_ms = min_of(prefix);
+  const double fit_seed_ms = min_of(fit_seed), fit_fast_ms = min_of(fit_fast);
+  const auto us_per_genome = [&](double ms) {
+    return ms * 1e3 / static_cast<double>(genomes.size());
+  };
 
   Json j = Json::object();
   j["input_bits"] = Json(input_bits);
   j["generations"] = Json(generations);
-  j["objective_naive_us_per_genome"] =
-      Json(naive_ms * 1e3 / static_cast<double>(genomes.size()));
-  j["objective_prefix_us_per_genome"] =
-      Json(prefix_ms * 1e3 / static_cast<double>(genomes.size()));
+  j["objective_naive_us_per_genome"] = Json(us_per_genome(naive_ms));
+  put_spread(j, "objective_naive_us_per_genome", naive, us_per_genome);
+  j["objective_prefix_us_per_genome"] = Json(us_per_genome(prefix_ms));
+  put_spread(j, "objective_prefix_us_per_genome", prefix, us_per_genome);
   j["objective_speedup"] = Json(naive_ms / prefix_ms);
   j["fit_seed_serial_ms"] = Json(fit_seed_ms);
+  put_spread(j, "fit_seed_serial_ms", fit_seed);
   j["fit_memo_threads4_ms"] = Json(fit_fast_ms);
+  put_spread(j, "fit_memo_threads4_ms", fit_fast);
   j["fit_speedup"] = Json(fit_seed_ms / fit_fast_ms);
   j["checksum"] = Json(sink);  // keeps the work observable
   return j;
@@ -189,27 +235,17 @@ Json fit_cache_section(int reps, bool& bit_identical) {
     return nl;
   };
 
-  double cold_ms = 1e300, publish_ms = 1e300, hit_ms = 1e300;
+  std::vector<double> cold, publish, hit;
   for (int r = 0; r < std::max(reps, 3); ++r) {
     {
       CacheScope no_cache{""};
-      Timer timer;
-      (void)warm_once();
-      cold_ms = std::min(cold_ms, timer.milliseconds());
+      cold.push_back(time_once_ms(warm_once));
     }
     fs::remove_all(dir);
     fs::create_directories(dir);
     CacheScope cache{dir};
-    {
-      Timer timer;
-      (void)warm_once();
-      publish_ms = std::min(publish_ms, timer.milliseconds());
-    }
-    {
-      Timer timer;
-      (void)warm_once();
-      hit_ms = std::min(hit_ms, timer.milliseconds());
-    }
+    publish.push_back(time_once_ms(warm_once));
+    hit.push_back(time_once_ms(warm_once));
   }
 
   // Bit-identity gate: a cache-hit provider against a storeless cold one.
@@ -234,10 +270,13 @@ Json fit_cache_section(int reps, bool& bit_identical) {
   Json j = Json::object();
   j["ops"] = Json("GELU,HSWISH");
   j["artifacts_published"] = Json(artifacts);
-  j["cold_fit_ms"] = Json(cold_ms);
-  j["fit_and_publish_ms"] = Json(publish_ms);
-  j["cache_hit_ms"] = Json(hit_ms);
-  j["hit_speedup"] = Json(cold_ms / hit_ms);
+  j["cold_fit_ms"] = Json(min_of(cold));
+  put_spread(j, "cold_fit_ms", cold);
+  j["fit_and_publish_ms"] = Json(min_of(publish));
+  put_spread(j, "fit_and_publish_ms", publish);
+  j["cache_hit_ms"] = Json(min_of(hit));
+  put_spread(j, "cache_hit_ms", hit);
+  j["hit_speedup"] = Json(min_of(cold) / min_of(hit));
   j["bit_identical"] = Json(identical);
   bit_identical = bit_identical && identical;
   return j;
@@ -299,14 +338,16 @@ Json gemm_row(int reps, bool& bit_identical) {
                        .y = ref.data(),
                        .y_stride_m = 1,
                        .y_stride_n = s.m};
-    const double one_scalar =
-        time_best_ms(reps, [&] { kernel::gemm_reference(g, 0, tiles); });
+    const std::vector<double> scalar_reps =
+        time_reps_ms(reps, [&] { kernel::gemm_reference(g, 0, tiles); });
     g.y = got.data();
-    double one_simd = one_scalar;
+    std::vector<double> simd_reps = scalar_reps;
     if (ops.gemm != nullptr) {
-      one_simd = time_best_ms(reps, [&] { ops.gemm(g, 0, tiles); });
+      simd_reps = time_reps_ms(reps, [&] { ops.gemm(g, 0, tiles); });
       identical = identical && ref == got;
     }
+    const double one_scalar = min_of(scalar_reps);
+    const double one_simd = min_of(simd_reps);
     scalar_ms += one_scalar;
     simd_ms += one_simd;
     macs += static_cast<double>(s.m) * s.n * s.depth;
@@ -315,6 +356,10 @@ Json gemm_row(int reps, bool& bit_identical) {
     l["m"] = Json(s.m);
     l["n"] = Json(s.n);
     l["depth"] = Json(s.depth);
+    l["scalar_ms"] = Json(one_scalar);
+    put_spread(l, "scalar_ms", scalar_reps);
+    l["dispatched_ms"] = Json(one_simd);
+    put_spread(l, "dispatched_ms", simd_reps);
     l["speedup"] = Json(one_scalar / one_simd);
     layers.push_back(std::move(l));
   }
@@ -344,10 +389,15 @@ Json kernel_simd_section(int reps, bool& bit_identical) {
   Json j = Json::object();
   j["kernel_backend"] = Json(dispatched);
 
-  const auto op_json = [&](double scalar_ms, double simd_ms, bool identical) {
+  const auto ns_per_item = [&](double ms) { return ms * 1e6 / items; };
+  const auto op_json = [&](const std::vector<double>& scalar,
+                           const std::vector<double>& simd, bool identical) {
+    const double scalar_ms = min_of(scalar), simd_ms = min_of(simd);
     Json r = Json::object();
-    r["scalar_ns_per_item"] = Json(scalar_ms * 1e6 / items);
-    r["dispatched_ns_per_item"] = Json(simd_ms * 1e6 / items);
+    r["scalar_ns_per_item"] = Json(ns_per_item(scalar_ms));
+    put_spread(r, "scalar_ns_per_item", scalar, ns_per_item);
+    r["dispatched_ns_per_item"] = Json(ns_per_item(simd_ms));
+    put_spread(r, "dispatched_ns_per_item", simd, ns_per_item);
     r["speedup"] = Json(scalar_ms / simd_ms);
     r["bit_identical"] = Json(identical);
     bit_identical = bit_identical && identical;
@@ -370,15 +420,15 @@ Json kernel_simd_section(int reps, bool& bit_identical) {
     const auto run = [&] {
       for (int l = 0; l < kLoops; ++l) unit.eval_reals_from_codes(codes, out);
     };
-    double scalar_ms = 0.0, simd_ms = 0.0;
+    std::vector<double> scalar_ms, simd_ms;
     {
       kernel::BackendScope scope("scalar");
-      scalar_ms = time_best_ms(reps, run);
+      scalar_ms = time_reps_ms(reps, run);
       ref = out;
     }
     {
       kernel::BackendScope scope(dispatched);
-      simd_ms = time_best_ms(reps, run);
+      simd_ms = time_reps_ms(reps, run);
     }
     bool identical = true;
     for (std::size_t i = 0; i < kBatch; ++i) {
@@ -400,7 +450,7 @@ Json kernel_simd_section(int reps, bool& bit_identical) {
   }
   {
     std::int64_t scalar_sum = 0, simd_sum = 0;
-    const double scalar_ms = time_best_ms(reps, [&] {
+    const std::vector<double> scalar_ms = time_reps_ms(reps, [&] {
       scalar_sum = 0;
       for (int l = 0; l < kLoops; ++l) {
         for (std::size_t i = 0; i < kBatch; ++i) {
@@ -408,10 +458,10 @@ Json kernel_simd_section(int reps, bool& bit_identical) {
         }
       }
     });
-    double simd_ms = scalar_ms;
+    std::vector<double> simd_ms = scalar_ms;
     bool identical = true;
     if (ops.dot_i32_i8 != nullptr) {
-      simd_ms = time_best_ms(reps, [&] {
+      simd_ms = time_reps_ms(reps, [&] {
         simd_sum = 0;
         for (int l = 0; l < kLoops; ++l) {
           simd_sum += ops.dot_i32_i8(acts.data(), weights.data(), kBatch);
@@ -423,16 +473,16 @@ Json kernel_simd_section(int reps, bool& bit_identical) {
   }
   {
     std::int64_t scalar_sum = 0, simd_sum = 0;
-    const double scalar_ms = time_best_ms(reps, [&] {
+    const std::vector<double> scalar_ms = time_reps_ms(reps, [&] {
       scalar_sum = 0;
       for (int l = 0; l < kLoops; ++l) {
         for (std::size_t i = 0; i < kBatch; ++i) scalar_sum += acts[i];
       }
     });
-    double simd_ms = scalar_ms;
+    std::vector<double> simd_ms = scalar_ms;
     bool identical = true;
     if (ops.sum_i32 != nullptr) {
-      simd_ms = time_best_ms(reps, [&] {
+      simd_ms = time_reps_ms(reps, [&] {
         simd_sum = 0;
         for (int l = 0; l < kLoops; ++l) {
           simd_sum += ops.sum_i32(acts.data(), kBatch);
@@ -444,7 +494,7 @@ Json kernel_simd_section(int reps, bool& bit_identical) {
   }
   {
     std::int32_t scalar_peak = 0, simd_peak = 0;
-    const double scalar_ms = time_best_ms(reps, [&] {
+    const std::vector<double> scalar_ms = time_reps_ms(reps, [&] {
       for (int l = 0; l < kLoops; ++l) {
         std::int32_t peak = acts[0];
         for (std::size_t i = 1; i < kBatch; ++i) {
@@ -453,10 +503,10 @@ Json kernel_simd_section(int reps, bool& bit_identical) {
         scalar_peak = peak;
       }
     });
-    double simd_ms = scalar_ms;
+    std::vector<double> simd_ms = scalar_ms;
     bool identical = true;
     if (ops.max_i32 != nullptr) {
-      simd_ms = time_best_ms(reps, [&] {
+      simd_ms = time_reps_ms(reps, [&] {
         for (int l = 0; l < kLoops; ++l) {
           simd_peak = ops.max_i32(acts.data(), kBatch);
         }
@@ -485,27 +535,27 @@ Json kernel_report(int reps, bool& bit_identical) {
 
   const auto provider =
       tfm::NonlinearProvider::with_method(Method::kGqaRm, {Op::kGelu});
-  const double provider_scalar_ms = time_best_ms(reps, [&] {
+  const std::vector<double> provider_scalar = time_reps_ms(reps, [&] {
     for (int l = 0; l < kLoops; ++l) {
       for (std::size_t i = 0; i < kBatch; ++i) {
         out[i] = provider.gelu_code(codes[i], -4);
       }
     }
   });
-  const double provider_batch_ms = time_best_ms(reps, [&] {
+  const std::vector<double> provider_batch = time_reps_ms(reps, [&] {
     for (int l = 0; l < kLoops; ++l) provider.gelu_codes(codes, -4, out);
   });
 
   const Approximator gelu = Approximator::fit(Op::kGelu, Method::kGqaRm, {});
   const IntPwlUnit unit = gelu.make_unit(-4);
-  const double unit_scalar_ms = time_best_ms(reps, [&] {
+  const std::vector<double> unit_scalar = time_reps_ms(reps, [&] {
     for (int l = 0; l < kLoops; ++l) {
       for (std::size_t i = 0; i < kBatch; ++i) {
         out[i] = unit.eval_real_from_code(codes[i]);
       }
     }
   });
-  const double unit_batch_ms = time_best_ms(reps, [&] {
+  const std::vector<double> unit_batch = time_reps_ms(reps, [&] {
     for (int l = 0; l < kLoops; ++l) unit.eval_reals_from_codes(codes, out);
   });
 
@@ -513,12 +563,18 @@ Json kernel_report(int reps, bool& bit_identical) {
   j["bench"] = Json("kernel");
   j["op"] = Json("GELU");
   j["batch"] = Json(static_cast<int>(kBatch));
-  j["provider_per_code_ns_per_item"] = Json(provider_scalar_ms * 1e6 / items);
-  j["provider_batched_ns_per_item"] = Json(provider_batch_ms * 1e6 / items);
-  j["provider_batch_speedup"] = Json(provider_scalar_ms / provider_batch_ms);
-  j["unit_per_code_ns_per_item"] = Json(unit_scalar_ms * 1e6 / items);
-  j["unit_batched_ns_per_item"] = Json(unit_batch_ms * 1e6 / items);
-  j["unit_batch_speedup"] = Json(unit_scalar_ms / unit_batch_ms);
+  const auto ns_per_item = [&](double ms) { return ms * 1e6 / items; };
+  const auto put_row = [&](const char* key, const std::vector<double>& ms) {
+    j[key] = Json(ns_per_item(min_of(ms)));
+    put_spread(j, key, ms, ns_per_item);
+  };
+  put_row("provider_per_code_ns_per_item", provider_scalar);
+  put_row("provider_batched_ns_per_item", provider_batch);
+  j["provider_batch_speedup"] =
+      Json(min_of(provider_scalar) / min_of(provider_batch));
+  put_row("unit_per_code_ns_per_item", unit_scalar);
+  put_row("unit_batched_ns_per_item", unit_batch);
+  j["unit_batch_speedup"] = Json(min_of(unit_scalar) / min_of(unit_batch));
   j["kernel_simd"] = kernel_simd_section(reps, bit_identical);
   return j;
 }
@@ -532,29 +588,33 @@ Json model_section(const ModelT& model, const tfm::Tensor& image,
                    bool& bit_identical) {
   ThreadPool pool(threads);
   std::int64_t serial_sum = 0, threaded_sum = 0;
-  const double int_serial_ms = time_best_ms(reps, [&] {
+  const std::vector<double> int_serial = time_reps_ms(reps, [&] {
     const tfm::QTensor y = model.forward_int(image, nl);
     serial_sum = 0;
     for (std::int32_t v : y.data()) serial_sum += v;
   });
-  const double int_threaded_ms = time_best_ms(reps, [&] {
+  const std::vector<double> int_threaded = time_reps_ms(reps, [&] {
     const tfm::QTensor y = model.forward_int(image, nl, &pool);
     threaded_sum = 0;
     for (std::int32_t v : y.data()) threaded_sum += v;
   });
-  const double fp_serial_ms =
-      time_best_ms(reps, [&] { (void)model.forward_fp(image); });
-  const double fp_threaded_ms =
-      time_best_ms(reps, [&] { (void)model.forward_fp(image, &pool); });
+  const std::vector<double> fp_serial =
+      time_reps_ms(reps, [&] { (void)model.forward_fp(image); });
+  const std::vector<double> fp_threaded =
+      time_reps_ms(reps, [&] { (void)model.forward_fp(image, &pool); });
 
   Json j = Json::object();
+  const auto put_row = [&](const char* key, const std::vector<double>& ms) {
+    j[key] = Json(min_of(ms));
+    put_spread(j, key, ms);
+  };
   j["threads"] = Json(threads);
-  j["int_serial_ms"] = Json(int_serial_ms);
-  j["int_threaded_ms"] = Json(int_threaded_ms);
-  j["int_speedup"] = Json(int_serial_ms / int_threaded_ms);
-  j["fp_serial_ms"] = Json(fp_serial_ms);
-  j["fp_threaded_ms"] = Json(fp_threaded_ms);
-  j["fp_speedup"] = Json(fp_serial_ms / fp_threaded_ms);
+  put_row("int_serial_ms", int_serial);
+  put_row("int_threaded_ms", int_threaded);
+  j["int_speedup"] = Json(min_of(int_serial) / min_of(int_threaded));
+  put_row("fp_serial_ms", fp_serial);
+  put_row("fp_threaded_ms", fp_threaded);
+  j["fp_speedup"] = Json(min_of(fp_serial) / min_of(fp_threaded));
   j["logit_code_checksum"] = Json(static_cast<double>(serial_sum));
   j["threaded_bit_identical"] = Json(serial_sum == threaded_sum);
   bit_identical = bit_identical && serial_sum == threaded_sum;
@@ -626,13 +686,6 @@ std::int64_t checksum(const std::vector<tfm::QTensor>& logits) {
     for (std::int32_t v : t.data()) sum += v;
   }
   return sum;
-}
-
-/// Middle element after sorting — the round statistic of the serving
-/// sections (robust to one-off bursts on a shared box).
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
 }
 
 /// The continuous-batching client the serving sections time: streams every
@@ -799,16 +852,16 @@ Json serve_section(const ModelT& model, const tfm::NonlinearProvider& nl,
   std::vector<tfm::QTensor> serial, batched1, batchedw;
   std::vector<double> serial_rounds, engine1_rounds, wide_rounds;
   for (int rep = 0; rep < std::max(reps, 9); ++rep) {
-    serial_rounds.push_back(time_best_ms(1, [&] {
+    serial_rounds.push_back(time_once_ms([&] {
       serial.clear();
       for (const tfm::Tensor& img : images) {
         serial.push_back(model.forward_int(img, nl));
       }
     }));
-    engine1_rounds.push_back(time_best_ms(1, [&] {
+    engine1_rounds.push_back(time_once_ms([&] {
       batched1 = engine1.forward_int(model, images, nl);
     }));
-    wide_rounds.push_back(time_best_ms(1, [&] {
+    wide_rounds.push_back(time_once_ms([&] {
       batchedw = wide.forward_int(model, images, nl);
     }));
   }
@@ -830,14 +883,20 @@ Json serve_section(const ModelT& model, const tfm::NonlinearProvider& nl,
   // baseline (serial median x paired speedup), so every number reflects
   // the drift-cancelled comparison.
   const double serial_ips = n / (serial_ms * 1e-3);
+  const auto images_per_s = [n](double ms) { return n / (ms * 1e-3); };
   Json j = Json::object();
   j["scenes"] = Json(static_cast<int>(images.size()));
   j["threads"] = Json(wide.threads());
   j["serial_images_per_s"] = Json(serial_ips);
+  put_spread(j, "serial_images_per_s", serial_rounds, images_per_s);
   j["engine1_images_per_s"] = Json(serial_ips * engine1_speedup);
+  put_spread(j, "engine1_images_per_s", engine1_rounds, images_per_s);
   j["engine_wide_images_per_s"] = Json(serial_ips * wide_speedup);
+  put_spread(j, "engine_wide_images_per_s", wide_rounds, images_per_s);
   j["engine1_speedup"] = Json(engine1_speedup);
+  put_spread(j, "engine1_speedup", engine1_ratio);
   j["engine_wide_speedup"] = Json(wide_speedup);
+  put_spread(j, "engine_wide_speedup", wide_ratio);
   j["logit_code_checksum"] = Json(static_cast<double>(checksum(serial)));
   j["bit_identical"] = Json(identical);
   return j;
@@ -905,21 +964,21 @@ CoserveReports coserve_sections(const tfm::SegformerB0Like& seg,
   std::vector<double> serial_rounds, server1_rounds, wide_rounds,
       continuous_rounds;
   for (int rep = 0; rep < std::max(reps, 9); ++rep) {
-    serial_rounds.push_back(time_best_ms(1, [&] {
+    serial_rounds.push_back(time_once_ms([&] {
       serial.clear();
       for (const tfm::Tensor& img : images) {
         serial.push_back(seg.forward_int(img, nl));
         serial.push_back(evit.forward_int(img, nl));
       }
     }));
-    server1_rounds.push_back(time_best_ms(1, [&] {
+    server1_rounds.push_back(time_once_ms([&] {
       served1 = serve_stream(server1, s1_seg, s1_evit);
     }));
-    wide_rounds.push_back(time_best_ms(1, [&] {
+    wide_rounds.push_back(time_once_ms([&] {
       servedw = serve_stream(wide, sw_seg, sw_evit);
     }));
     continuous_rounds.push_back(
-        time_best_ms(1, [&] { streamed = continuous_stream(); }));
+        time_once_ms([&] { streamed = continuous_stream(); }));
   }
   std::vector<double> server1_ratio, wide_ratio, continuous_ratio;
   for (std::size_t i = 0; i < serial_rounds.size(); ++i) {
@@ -938,16 +997,22 @@ CoserveReports coserve_sections(const tfm::SegformerB0Like& seg,
 
   const double n = static_cast<double>(serial.size());
   const double serial_rps = n / (median(serial_rounds) * 1e-3);
+  const auto requests_per_s = [n](double ms) { return n / (ms * 1e-3); };
   CoserveReports reports;
   {
     Json j = Json::object();
     j["requests"] = Json(static_cast<int>(serial.size()));
     j["threads"] = Json(wide.lanes());
     j["serial_requests_per_s"] = Json(serial_rps);
+    put_spread(j, "serial_requests_per_s", serial_rounds, requests_per_s);
     j["server1_requests_per_s"] = Json(serial_rps * median(server1_ratio));
+    put_spread(j, "server1_requests_per_s", server1_rounds, requests_per_s);
     j["server_wide_requests_per_s"] = Json(serial_rps * median(wide_ratio));
+    put_spread(j, "server_wide_requests_per_s", wide_rounds, requests_per_s);
     j["server1_speedup"] = Json(median(server1_ratio));
+    put_spread(j, "server1_speedup", server1_ratio);
     j["server_wide_speedup"] = Json(median(wide_ratio));
+    put_spread(j, "server_wide_speedup", wide_ratio);
     j["logit_code_checksum"] = Json(static_cast<double>(checksum(serial)));
     j["bit_identical"] = Json(identical);
     reports.coserve = std::move(j);
@@ -963,8 +1028,11 @@ CoserveReports coserve_sections(const tfm::SegformerB0Like& seg,
     j["threads"] = Json(wide.lanes());
     j["serial_requests_per_s"] = Json(serial_rps);
     j["lockstep_requests_per_s"] = Json(serial_rps * median(wide_ratio));
+    put_spread(j, "lockstep_requests_per_s", wide_rounds, requests_per_s);
     j["continuous_requests_per_s"] =
         Json(serial_rps * median(continuous_ratio));
+    put_spread(j, "continuous_requests_per_s", continuous_rounds,
+               requests_per_s);
     j["continuous_vs_lockstep"] =
         Json(median(continuous_ratio) / median(wide_ratio));
     j["logit_code_checksum"] = Json(static_cast<double>(checksum(serial)));
@@ -1014,16 +1082,14 @@ Json serve_degraded_section(const tfm::SegformerB0Like& seg,
     {
       fault::FaultScope quiet{""};
       FaultyStreamResult clean;
-      clean_rounds.push_back(time_best_ms(
-          1, [&] { clean = serve_stream_faulty(wide, requests,
-                                                      retrying); }));
+      clean_rounds.push_back(time_once_ms(
+          [&] { clean = serve_stream_faulty(wide, requests, retrying); }));
     }
     {
       fault::FaultScope chaos{kChaosSpec};
       FaultyStreamResult degraded;
-      degraded_rounds.push_back(time_best_ms(
-          1, [&] { degraded = serve_stream_faulty(wide, requests,
-                                                         retrying); }));
+      degraded_rounds.push_back(time_once_ms(
+          [&] { degraded = serve_stream_faulty(wide, requests, retrying); }));
       failed += degraded.failed;
       admission_rejected += degraded.admission_rejected;
       for (std::size_t i = 0; i < degraded.results.size(); ++i) {
@@ -1041,6 +1107,9 @@ Json serve_degraded_section(const tfm::SegformerB0Like& seg,
   const Server::Stats stats = wide.stats();
   const double total = static_cast<double>(requests.size());
   const double clean_rps = total / (median(clean_rounds) * 1e-3);
+  const auto requests_per_s = [total](double ms) {
+    return total / (ms * 1e-3);
+  };
 
   Json j = Json::object();
   j["requests"] = Json(static_cast<int>(requests.size()));
@@ -1048,8 +1117,11 @@ Json serve_degraded_section(const tfm::SegformerB0Like& seg,
   j["fault_spec"] = Json(std::string(kChaosSpec));
   j["max_attempts"] = Json(retrying.max_attempts);
   j["clean_requests_per_s"] = Json(clean_rps);
+  put_spread(j, "clean_requests_per_s", clean_rounds, requests_per_s);
   j["degraded_requests_per_s"] = Json(clean_rps * median(ratio));
+  put_spread(j, "degraded_requests_per_s", degraded_rounds, requests_per_s);
   j["degraded_vs_clean"] = Json(median(ratio));
+  put_spread(j, "degraded_vs_clean", ratio);
   j["failed_requests"] = Json(static_cast<int>(failed));
   j["admission_rejected"] = Json(static_cast<int>(admission_rejected));
   j["retries"] = Json(static_cast<double>(stats.retries));
@@ -1100,6 +1172,7 @@ Json serve_stream_section(const tfm::SegformerB0Like& seg,
   Json j = Json::object();
   j["capacity_fps"] = Json(capacity_fps);
   j["serial_frame_ms"] = Json(frame_ms);
+  put_spread(j, "serial_frame_ms", frame_times);
   j["drop_policy"] = Json("drop_oldest");
   j["frames_per_round"] = Json(static_cast<int>(frames));
   j["rounds"] = Json(rounds);
@@ -1137,6 +1210,7 @@ Json serve_stream_section(const tfm::SegformerB0Like& seg,
     Json r = Json::object();
     r["offered_fps"] = Json(offered_fps);
     r["sustained_fps"] = Json(median(fps));
+    put_spread(r, "sustained_fps", fps);
     r["pushed"] = Json(static_cast<int>(pushed));
     r["served"] = Json(static_cast<int>(served));
     r["dropped"] = Json(static_cast<double>(dropped));
@@ -1198,6 +1272,23 @@ Json serve_report(int reps, bool& bit_identical) {
   return j;
 }
 
+/// First line of `git -C <source dir> <args>`, or "" when git or the
+/// checkout is unavailable.
+std::string git_output(const std::string& args) {
+  const std::string cmd =
+      "git -C '" + std::string(GQA_SOURCE_DIR) + "' " + args + " 2>/dev/null";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return "";
+  char line[256] = {};
+  const bool got = std::fgets(line, sizeof line, pipe) != nullptr;
+  ::pclose(pipe);
+  std::string out = got ? line : "";
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out;
+}
+
 /// The host every BENCH_*.json number came from: numbers are only
 /// comparable within one host, backend, compiler and rep count.
 Json host_json(int reps) {
@@ -1214,6 +1305,9 @@ Json host_json(int reps) {
   j["cpu"] = Json(cpu);
   j["kernel_backend"] = Json(kernel::active().name);
   j["compiler"] = Json(__VERSION__);
+  j["git_sha"] = Json(git_output("rev-parse HEAD"));
+  j["git_dirty"] = Json(!git_output("status --porcelain --untracked-files=no")
+                             .empty());
   j["reps"] = Json(reps);
   return j;
 }
